@@ -4,6 +4,7 @@
 from .core import (
     INFINITY,
     ApproxResult,
+    InvariantError,
     KnapsackInstance,
     ParseError,
     PartitionInstance,

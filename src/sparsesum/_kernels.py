@@ -21,7 +21,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional; the numpy kernels below run without it
     _HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -101,7 +101,7 @@ def pairs_minconv(avals, apos, bvals, bpos, nc):
         sums = np.add.outer(avals, bvals).ravel()
         ks = np.add.outer(apos, bpos).ravel()
         np.minimum.at(cv, ks, sums)
-        cd[np.unique(ks)] = True
+        cd[ks] = True
     return cv, cd
 
 

@@ -19,6 +19,13 @@ maxima (intervals of width delta/2), one (min,+) and one (max,+)
 convolution produce entries that bracket every pairwise sum within
 delta, and the defined entries form the approximate sumset. Capping and
 re-sparsifying gives the capped variant used by the solvers.
+
+With the default engine the sequences are never laid out: each set has
+at most two defined entries per element, read straight off its sorted
+elements, so a sumset costs O(|A|*|B|) pairs instead of a grid of
+8*ceil(t/delta) entries per operand. The dense engine, any other
+callable engine, and t above the int64 kernel range still unfold the
+full grid (the scaling benchmark measures the dense engine's grid cost).
 """
 
 from __future__ import annotations
@@ -190,6 +197,74 @@ def _unfold_py(elems: list[int], n_intervals: int, delta: int) -> list:
     return entries
 
 
+def first_split(target: int, left: np.ndarray, right: np.ndarray) -> int | None:
+    """Smallest a in `left` with target - a in `right` (both sorted
+    int64 arrays), found with one vectorized lookup; None if there is
+    no such a."""
+    cand = left[: int(np.searchsorted(left, target, side="right"))]
+    if cand.size == 0 or right.size == 0:
+        return None
+    rest = target - cand
+    j = np.minimum(np.searchsorted(right, rest), right.size - 1)
+    hits = np.flatnonzero(right[j] == rest)
+    return int(cand[hits[0]]) if hits.size else None
+
+
+def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The defined entries of _unfold(elems, ., delta) as (positions,
+    values), without the grid: element a lies in interval
+    i = floor(2a/delta), and also in i-1 when 2a == i*delta; interval i
+    puts its minimum at position 2i and its maximum at 2i+1."""
+    idx = (2 * elems) // delta
+    edge = ((2 * elems) % delta == 0) & (idx > 0)
+    ids = np.concatenate([idx, idx[edge] - 1])
+    vals = np.concatenate([elems, elems[edge]])
+    order = np.lexsort((vals, ids))
+    ids, vals = ids[order], vals[order]
+    change = ids[1:] != ids[:-1]
+    first = np.concatenate([[True], change])
+    last = np.concatenate([change, [True]])
+    pos = np.concatenate([2 * ids[first], 2 * ids[last] + 1])
+    return pos, np.concatenate([vals[first], vals[last]])
+
+
+def _pairs_sumset(e1: np.ndarray, e2: np.ndarray, t: int, delta: int) -> np.ndarray:
+    """Elements of the default engine's unfold + (min,+)/(max,+) sumset,
+    computed over the defined pairs only: the minimum and the maximum of
+    the pair sums at each output position."""
+    if e1.size == 0 or e2.size == 0:
+        return np.empty(0, dtype=np.int64)
+    p1, v1 = _interval_entries(e1, delta)
+    p2, v2 = _interval_entries(e2, delta)
+    pos = np.add.outer(p1, p2).ravel()
+    val = np.add.outer(v1, v2).ravel()
+    nc = 16 * ((t + delta - 1) // delta) - 1  # the grid path's output length
+    if pos.size >= nc:
+        lo = np.full(nc, np.iinfo(np.int64).max)
+        hi = np.full(nc, -1, dtype=np.int64)
+        np.minimum.at(lo, pos, val)
+        np.maximum.at(hi, pos, val)
+        defined = hi >= 0
+        lo, hi = lo[defined], hi[defined]
+    else:
+        order = np.argsort(pos)
+        pos, val = pos[order], val[order]
+        starts = np.flatnonzero(np.concatenate([[True], pos[1:] != pos[:-1]]))
+        lo = np.minimum.reduceat(val, starts)
+        hi = np.maximum.reduceat(val, starts)
+    return np.unique(np.concatenate([lo, hi]))
+
+
+def _check_sumset_args(A1: SparseSet, A2: SparseSet, t: int, delta: int) -> None:
+    if delta < 1:
+        raise ValueError("delta must be >= 1 (exact DP handles delta = 0)")
+    if t < delta:
+        raise ValueError(f"need t >= delta, got t={t}, delta={delta}")
+    for A in (A1, A2):
+        if A.max() > t:
+            raise ValueError(f"input element {A.max()} exceeds t={t}")
+
+
 def unbounded_sumset(
     A1: SparseSet, A2: SparseSet, t: int, delta: int, engine=None
 ) -> SparseSet:
@@ -202,17 +277,13 @@ def unbounded_sumset(
     """
     engine = engine or min_conv
     t, delta = int(t), int(delta)
-    if delta < 1:
-        raise ValueError("delta must be >= 1 (exact DP handles delta = 0)")
-    if t < delta:
-        raise ValueError(f"need t >= delta, got t={t}, delta={delta}")
-    for A in (A1, A2):
-        if A.max() > t:
-            raise ValueError(f"input element {A.max()} exceeds t={t}")
+    _check_sumset_args(A1, A2, t, delta)
     n_intervals = 4 * ((t + delta - 1) // delta)
 
     fast = _fits_fast(t, delta) and isinstance(engine, ConvEngine)
-    if fast:
+    if fast and not engine.dense:
+        elems = _pairs_sumset(A1.elems, A2.elems, t, delta)
+    elif fast:
         x1v, x1d = _unfold(A1.elems, n_intervals, delta)
         x2v, x2d = _unfold(A2.elems, n_intervals, delta)
         lo_v, lo_d = engine.conv_masked(x1v, x1d, x2v, x2d)
@@ -235,7 +306,15 @@ def capped_sumset(
 ) -> SparseSet:
     """Sparse (t,delta)-approximation of the capped sumset: unbounded
     sumset, shift down to [0, t], sparsify. If A_i (t,delta)-approximates
-    B_i, the output sparsely (t,delta)-approximates (B1+B2) ∩ [0,t]."""
+    B_i, the output sparsely (t,delta)-approximates (B1+B2) ∩ [0,t].
+
+    A {0} operand makes the sumset the other operand, re-sparsified; the
+    engine is not called then."""
+    t, delta = int(t), int(delta)
+    _check_sumset_args(A1, A2, t, delta)
+    for A, other in ((A1, A2), (A2, A1)):
+        if len(A) == 1 and A.max() == 0:
+            return sparsify(other.elems, t, delta)
     unbounded = unbounded_sumset(A1, A2, t, delta, engine=engine)
-    capped = shift_down(unbounded, int(t))
-    return sparsify(capped.elems, int(t), int(delta))
+    capped = shift_down(unbounded, t)
+    return sparsify(capped.elems, t, delta)

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    InvariantError,
     ParseError,
     SubsetSumInstance,
     ValidationError,
@@ -528,7 +529,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ValueError, OverflowError, MemoryError, OSError) as err:
+    except (
+        ParseError, ValidationError, ValueError, OverflowError, MemoryError, OSError, InvariantError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -43,6 +43,11 @@ class ValidationError(ValueError):
     """An instance violates a domain invariant."""
 
 
+class InvariantError(RuntimeError):
+    """A result failed an internal consistency check (a bug, not bad
+    input). Raised instead of asserting, so it survives python -O."""
+
+
 class ParseError(ValueError):
     """An instance file is malformed. Carries the offending line number."""
 

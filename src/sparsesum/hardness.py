@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import KnapsackInstance, SubsetSumInstance
+from .core import InvariantError, KnapsackInstance, SubsetSumInstance
 from .subsetsum import approximate_subset_sum, clog2
 
 _REDUCTION_BUDGET = 2**126
@@ -106,7 +106,8 @@ def knapsack_to_gap_instance(inst: KnapsackInstance) -> tuple[list[int], int, Fr
     if t >= _REDUCTION_BUDGET:
         raise OverflowError(f"t = {t} exceeds the 128-bit reduction budget")
     xs = [w * mprime - v for w, v in zip(weights, values)]
-    assert all(x > 0 for x in xs) and t > 0
+    if t <= 0 or min(xs) <= 0:
+        raise InvariantError("the reduction produced a non-positive number")
     return xs, t, Fraction(1, 2 * W)
 
 

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .approxset import sparsify, unbounded_sumset
-from .core import INFINITY, ApproxResult, PartitionInstance, SparseSet
+from .approxset import first_split, sparsify, unbounded_sumset
+from .core import INFINITY, ApproxResult, InvariantError, PartitionInstance, SparseSet
 from .minconv import min_conv
 
 SUMSET_BUDGET = 2**27  # max FFT length in the top half
@@ -155,7 +155,8 @@ def _sumset_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if resid > 0.25:
         raise ArithmeticError(f"FFT sumset lost integrality (residue {resid:.3g})")
     out = np.flatnonzero(conv > 0.5).astype(np.int64)
-    assert out.size == 0 or int(out[-1]) <= top
+    if out.size and int(out[-1]) > top:
+        raise InvariantError(f"FFT sumset element {int(out[-1])} exceeds {top}")
     return out
 
 
@@ -377,14 +378,10 @@ def _descend_bottom(node: BottomNode, target: int) -> list:
         if node.item is not None and target == node.item:
             return [node.item]
         raise ValueError(f"value {target} not producible at a bottom leaf")
-    for a in node.left.result:
-        if a > target:
-            break
-        if (target - a) in node.right.result:
-            return _descend_bottom(node.left, a) + _descend_bottom(
-                node.right, target - a
-            )
-    raise ValueError(f"value {target} not decomposable in the bottom tree")
+    a = first_split(target, node.left.result.elems, node.right.result.elems)
+    if a is None:
+        raise ValueError(f"value {target} not decomposable in the bottom tree")
+    return _descend_bottom(node.left, a) + _descend_bottom(node.right, target - a)
 
 
 def _descend_sum_tree(trace: PartitionTrace, node: SumTreeNode, rounded_val: int) -> list:
@@ -398,18 +395,12 @@ def _descend_sum_tree(trace: PartitionTrace, node: SumTreeNode, rounded_val: int
                 break
             return _descend_bottom(trace.bottoms[pi], z)
         raise ValueError(f"no element of part {pi} rounds to {rounded_val}")
-    lv, rv = node.left.values, node.right.values
-    for a in lv:
-        a = int(a)
-        if a > rounded_val:
-            break
-        rest = rounded_val - a
-        j = int(np.searchsorted(rv, rest))
-        if j < rv.size and int(rv[j]) == rest:
-            return _descend_sum_tree(trace, node.left, a) + _descend_sum_tree(
-                trace, node.right, rest
-            )
-    raise ValueError(f"rounded value {rounded_val} not decomposable in the sum tree")
+    a = first_split(rounded_val, node.left.values, node.right.values)
+    if a is None:
+        raise ValueError(f"rounded value {rounded_val} not decomposable in the sum tree")
+    return _descend_sum_tree(trace, node.left, a) + _descend_sum_tree(
+        trace, node.right, rounded_val - a
+    )
 
 
 def reconstruct_partition(trace: PartitionTrace, s: int) -> list:
@@ -421,5 +412,6 @@ def reconstruct_partition(trace: PartitionTrace, s: int) -> list:
         raise ValueError(f"{s} is not in the final sumset")
     if trace.tree is None:
         return []
-    assert s % trace.R == 0
+    if s % trace.R:
+        raise InvariantError(f"{s} in the final sumset is not a multiple of R={trace.R}")
     return _descend_sum_tree(trace, trace.tree, s // trace.R)

@@ -34,8 +34,8 @@ from typing import Union
 
 import numpy as np
 
-from .approxset import capped_sumset, sparsify, zero_set
-from .core import ApproxResult, SparseSet, SubsetSumInstance
+from .approxset import capped_sumset, first_split, sparsify, zero_set
+from .core import ApproxResult, InvariantError, SparseSet, SubsetSumInstance
 from .minconv import min_conv
 
 
@@ -256,9 +256,10 @@ def recursive_splitting(
         over = [x for x in X if x > t]
         if over:
             raise ValueError(f"item {over[0]} exceeds t={t}; drop items above t first")
-    assert _depth <= params.depth_limit, (
-        f"recursion depth {_depth} exceeded the bound {params.depth_limit}"
-    )
+    if _depth > params.depth_limit:
+        raise InvariantError(
+            f"recursion depth {_depth} exceeded the bound {params.depth_limit}"
+        )
 
     if max(X, default=0) <= delta:
         return greedy_small(X, t, delta)
@@ -326,7 +327,8 @@ def exact_subset_sum(items, t: int) -> tuple[int, list]:
             continue
         witness.append(items[i - 1])
         cur -= items[i - 1]
-    assert cur == 0
+    if cur != 0:
+        raise InvariantError(f"exact DP witness misses {value} by {cur}")
     return value, witness[::-1]
 
 
@@ -392,12 +394,10 @@ def approximate_subset_sum(
 def _split_value(target: int, left: SparseSet, right: SparseSet) -> tuple[int, int]:
     """First (ascending) decomposition target = l + r with l in left,
     r in right. The capped-sumset inclusion guarantees one exists."""
-    for l in left:
-        if l > target:
-            break
-        if (target - l) in right:
-            return l, target - l
-    raise ValueError(f"value {target} is not decomposable; trace corrupted")
+    l = first_split(target, left.elems, right.elems)
+    if l is None:
+        raise ValueError(f"value {target} is not decomposable; trace corrupted")
+    return l, target - l
 
 
 def _reconstruct_greedy(node: GreedyTrace, target: int) -> list:
@@ -406,6 +406,9 @@ def _reconstruct_greedy(node: GreedyTrace, target: int) -> list:
     if i >= len(sums) or sums[i] != target:
         raise ValueError(f"{target} is not a recorded prefix sum")
     return list(node.items[:i])
+
+
+_ZERO = np.zeros(1, dtype=np.int64)
 
 
 def _reconstruct_colorcoding(node: ColorCodingTrace, target: int) -> list:
@@ -418,17 +421,11 @@ def _reconstruct_colorcoding(node: ColorCodingTrace, target: int) -> list:
             continue
         out = []
         cur = target
-        prevs = [None] + [s.acc for s in rt.steps[:-1]]
+        # the first class folds into {0}
+        prevs = [_ZERO] + [s.acc.elems for s in rt.steps[:-1]]
         ok = True
         for step, prev in zip(reversed(rt.steps), reversed(prevs)):
-            z_pick = None
-            for z in step.zset:
-                if z > cur:
-                    break
-                rest = cur - z
-                if (prev is None and rest == 0) or (prev is not None and rest in prev):
-                    z_pick = z
-                    break
+            z_pick = first_split(cur, step.zset.elems, prev)
             if z_pick is None:
                 ok = False
                 break
@@ -461,5 +458,6 @@ def reconstruct(trace, target: int) -> list:
     if target not in root.result:
         raise ValueError(f"target {target} not in the solved set")
     witness = _reconstruct_node(root, target)
-    assert sum(witness) == target
+    if sum(witness) != target:
+        raise InvariantError(f"witness sums to {sum(witness)}, not {target}")
     return witness

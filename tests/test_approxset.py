@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsesum.approxset import (
+    _interval_entries,
     apx_bounds,
     capped_sumset,
     is_approximation,
@@ -16,7 +17,7 @@ from sparsesum.approxset import (
     unbounded_sumset,
 )
 from sparsesum.core import INFINITY, SparseSet, is_delta_sparse
-from sparsesum.minconv import min_conv_dense
+from sparsesum.minconv import min_conv, min_conv_dense
 from sparsesum.testkit import naive_sumset
 
 
@@ -174,6 +175,42 @@ def test_capped_sumset_dense_engine_agrees():
         assert capped_sumset(a1, a2, t, delta) == capped_sumset(
             a1, a2, t, delta, engine=min_conv_dense
         )
+
+    # The default engine's unbounded sumset skips the grid; the dense
+    # engine and a plain callable (the ExtSeq path) both unfold it.
+    def plain(A, B):
+        return min_conv(A, B)
+
+    def grid_free_pairs(a1, a2, delta):
+        return _interval_entries(a1.elems, delta)[0].size * _interval_entries(
+            a2.elems, delta
+        )[0].size
+
+    sides = set()
+    for trial in range(300):
+        delta = int(rng.integers(1, 12)) | 1 if trial % 2 else int(rng.integers(1, 12))
+        if trial % 10 == 9:
+            t = 2**59 - trial % 20 // 10  # at and just below the int64 kernel limit
+            delta = t // int(rng.integers(1, 12))
+        else:
+            t = int(rng.integers(delta, 40 * delta + 1))
+        sets = []
+        for _ in range(2):
+            if rng.random() < 0.15:
+                sets.append(sset({0}, delta, t))
+                continue
+            elems = set(random_subset(rng, t, max_size=int(rng.integers(2, 60))))
+            # boundary elements 2a = i*delta sit in two intervals
+            elems |= {i * delta // 2 for i in range(0, 2 * t // delta + 1, 2)
+                      if rng.random() < 0.3}
+            sets.append(sparsify(sorted(elems), t, delta))
+        a1, a2 = sets
+        nc = 16 * ((t + delta - 1) // delta) - 1
+        sides.add(grid_free_pairs(a1, a2, delta) >= nc)
+        got = unbounded_sumset(a1, a2, t, delta)
+        assert got == unbounded_sumset(a1, a2, t, delta, engine=min_conv_dense), f"trial {trial}"
+        assert got == unbounded_sumset(a1, a2, t, delta, engine=plain), f"trial {trial}"
+    assert sides == {False, True}
 
 
 def test_transitivity_randomized():

@@ -4,9 +4,10 @@ witness reconstruction, and exactness of the fallback path."""
 import numpy as np
 import pytest
 from collections import Counter
+from fractions import Fraction
 
 from sparsesum.approxset import is_approximation
-from sparsesum.core import SubsetSumInstance, subset_sums_bruteforce
+from sparsesum.core import InvariantError, SubsetSumInstance, subset_sums_bruteforce
 from sparsesum.subsetsum import (
     SchemeParams,
     SolveTrace,
@@ -286,3 +287,12 @@ def test_depth_limit_assertion_holds():
     p = params_for(len(items), t, delta, seed=9)
     a, _ = recursive_splitting(items, t, delta, p)  # must not trip the assert
     assert 0 in a
+
+
+def test_depth_limit_violation_raises():
+    # eta = 1/2 allows one level below the root, but an item above delta
+    # that stays small against t_next needs a second one
+    p = SchemeParams(confidence=1, k=8, eta=Fraction(1, 2), seed=0)
+    assert p.depth_limit == 1
+    with pytest.raises(InvariantError, match="recursion depth 2"):
+        recursive_splitting([50, 60], 1000, 10, p)
