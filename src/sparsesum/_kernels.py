@@ -1,12 +1,14 @@
 """Hot integer kernels, JIT-compiled when numba is present.
 
-All kernels work on int64. Values must stay within VAL_LIMIT so that a
-pairwise sum can never leave the int64 range; callers fall back to exact
-Python-int code paths above that. The dense kernel encodes "undefined"
-as the sentinel SENT; any accumulated minimum that still exceeds
-DEFINED_MAX after the sweep had no defined pair (defined sums are
-bounded by 2*VAL_LIMIT = DEFINED_MAX, sums touching a sentinel are at
-least SENT - VAL_LIMIT > DEFINED_MAX).
+All kernels work on int64. The convolution kernels need values within
+VAL_LIMIT so that a pairwise sum can never leave the int64 range; that
+limit gates the dense engine's sumsets and ExtSeq convolutions, which
+take exact Python-int paths above it. The sparsification sweep only
+subtracts non-negative values and takes any int64. The dense kernel
+encodes "undefined" as the sentinel SENT; any accumulated minimum that
+still exceeds DEFINED_MAX after the sweep had no defined pair (defined
+sums are bounded by 2*VAL_LIMIT = DEFINED_MAX, sums touching a sentinel
+are at least SENT - VAL_LIMIT > DEFINED_MAX).
 """
 
 from __future__ import annotations

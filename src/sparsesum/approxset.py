@@ -23,9 +23,10 @@ re-sparsifying gives the capped variant used by the solvers.
 With the default engine the sequences are never laid out: each set has
 at most two defined entries per element, read straight off its sorted
 elements, so a sumset costs O(|A|*|B|) pairs instead of a grid of
-8*ceil(t/delta) entries per operand. The dense engine, any other
-callable engine, and t above the int64 kernel range still unfold the
-full grid (the scaling benchmark measures the dense engine's grid cost).
+8*ceil(t/delta) entries per operand, for every t below 2^63. The dense
+engine and any other callable engine still unfold the full grid (the
+scaling benchmark measures the dense engine's grid cost); above the
+int64 kernel range they unfold it on exact Python ints.
 """
 
 from __future__ import annotations
@@ -36,18 +37,21 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._kernels import VAL_LIMIT, sparsify_sweep
-from .core import INFINITY, SparseSet
+from .core import INFINITY, INT63_MAX, SparseSet
 from .minconv import ConvEngine, ExtSeq, UNDEFINED, max_conv, min_conv
 
 
 def _elems_array(A) -> np.ndarray:
     if isinstance(A, SparseSet):
         return A.elems
+    if (
+        isinstance(A, np.ndarray)
+        and A.dtype == np.int64
+        and A.ndim == 1
+        and (A[1:] > A[:-1]).all()
+    ):
+        return A
     return np.unique(np.asarray(list(A), dtype=np.int64))
-
-
-def _fits_fast(*values) -> bool:
-    return all(v is not INFINITY and abs(int(v)) <= VAL_LIMIT for v in values)
 
 
 def zero_set(delta: int, cap: int | float) -> SparseSet:
@@ -129,16 +133,7 @@ def sparsify(B, t: int | float, delta: int) -> SparseSet:
     delta = int(delta)
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if elems.size and int(elems[-1]) <= VAL_LIMIT:
-        kept = sparsify_sweep(elems, delta)
-    else:
-        out: list[int] = []
-        for v in (int(x) for x in elems):
-            out.append(v)
-            if len(out) >= 3 and out[-1] - out[-3] <= delta:
-                del out[-2]
-        kept = np.asarray(out, dtype=np.int64) if out else np.empty(0, np.int64)
-    return SparseSet(kept, delta=delta, cap=t)
+    return SparseSet(sparsify_sweep(elems, delta), delta=delta, cap=t)
 
 
 def shift_down(A: SparseSet, t_new: int) -> SparseSet:
@@ -214,9 +209,13 @@ def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.nda
     """The defined entries of _unfold(elems, ., delta) as (positions,
     values), without the grid: element a lies in interval
     i = floor(2a/delta), and also in i-1 when 2a == i*delta; interval i
-    puts its minimum at position 2i and its maximum at 2i+1."""
-    idx = (2 * elems) // delta
-    edge = ((2 * elems) % delta == 0) & (idx > 0)
+    puts its minimum at position 2i and its maximum at 2i+1. With
+    a = q*delta + r, i = 2q + [2r >= delta] and 2a == i*delta iff
+    r == 0 or 2r == delta; neither test forms 2a or 2r, which can
+    overflow int64."""
+    q, r = np.divmod(elems, delta)
+    idx = 2 * q + (r >= delta - r)
+    edge = ((r == 0) | (r == delta - r)) & (idx > 0)
     ids = np.concatenate([idx, idx[edge] - 1])
     vals = np.concatenate([elems, elems[edge]])
     order = np.lexsort((vals, ids))
@@ -228,23 +227,35 @@ def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.nda
     return pos, np.concatenate([vals[first], vals[last]])
 
 
+# Grid cells ceil(t/delta) up to which every position 2i+1 of an
+# operand (i <= 2t/delta) and every sum of two positions fits in int64.
+_MAX_CELLS = 2**59
+_UNDEFINED_LO = np.iinfo(np.uint64).max
+
+
 def _pairs_sumset(e1: np.ndarray, e2: np.ndarray, t: int, delta: int) -> np.ndarray:
     """Elements of the default engine's unfold + (min,+)/(max,+) sumset,
     computed over the defined pairs only: the minimum and the maximum of
-    the pair sums at each output position."""
+    the pair sums at each output position. The sums are uint64: elements
+    of sets in [0, t] with t < 2^63 add up to less than 2^64 - 1."""
     if e1.size == 0 or e2.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.uint64)
+    n_cells = (t + delta - 1) // delta
+    if n_cells > _MAX_CELLS:
+        raise OverflowError(
+            f"t/delta = {t}/{delta} is too large: the sumset positions must fit in int64"
+        )
     p1, v1 = _interval_entries(e1, delta)
     p2, v2 = _interval_entries(e2, delta)
     pos = np.add.outer(p1, p2).ravel()
-    val = np.add.outer(v1, v2).ravel()
-    nc = 16 * ((t + delta - 1) // delta) - 1  # the grid path's output length
+    val = np.add.outer(v1.astype(np.uint64), v2.astype(np.uint64)).ravel()
+    nc = 16 * n_cells - 1  # the grid path's output length
     if pos.size >= nc:
-        lo = np.full(nc, np.iinfo(np.int64).max)
-        hi = np.full(nc, -1, dtype=np.int64)
+        lo = np.full(nc, _UNDEFINED_LO, dtype=np.uint64)
+        hi = np.zeros(nc, dtype=np.uint64)
         np.minimum.at(lo, pos, val)
         np.maximum.at(hi, pos, val)
-        defined = hi >= 0
+        defined = lo != _UNDEFINED_LO
         lo, hi = lo[defined], hi[defined]
     else:
         order = np.argsort(pos)
@@ -273,17 +284,19 @@ def unbounded_sumset(
 
     Requires t >= delta >= 1 and delta-sparse inputs within [0, t]. The
     result is in general only sparse after sparsification (callers that
-    need sparsity sparsify; see capped_sumset).
+    need sparsity sparsify; see capped_sumset). With the default engine,
+    sums above 2^63 - 1 are left out: they exceed every target a
+    SparseSet can cap at.
     """
     engine = engine or min_conv
     t, delta = int(t), int(delta)
     _check_sumset_args(A1, A2, t, delta)
     n_intervals = 4 * ((t + delta - 1) // delta)
 
-    fast = _fits_fast(t, delta) and isinstance(engine, ConvEngine)
-    if fast and not engine.dense:
-        elems = _pairs_sumset(A1.elems, A2.elems, t, delta)
-    elif fast:
+    if isinstance(engine, ConvEngine) and not engine.dense:
+        sums = _pairs_sumset(A1.elems, A2.elems, t, delta)
+        elems = sums[: int(np.searchsorted(sums, INT63_MAX, side="right"))].astype(np.int64)
+    elif isinstance(engine, ConvEngine) and t <= VAL_LIMIT:
         x1v, x1d = _unfold(A1.elems, n_intervals, delta)
         x2v, x2d = _unfold(A2.elems, n_intervals, delta)
         lo_v, lo_d = engine.conv_masked(x1v, x1d, x2v, x2d)

@@ -32,10 +32,6 @@ INFINITY = math.inf
 
 INT63_MAX = 2**63 - 1
 
-# Above this magnitude the int64 kernels could overflow a pairwise sum;
-# such values take the exact Python-int slow paths.
-INT64_SAFE = 2**62 - 1
-
 BRUTEFORCE_MAX_ITEMS = 30
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import InvariantError, KnapsackInstance, SubsetSumInstance
+from .core import INT63_MAX, InvariantError, KnapsackInstance, SubsetSumInstance
 from .subsetsum import approximate_subset_sum, clog2
 
 _REDUCTION_BUDGET = 2**126
@@ -128,9 +128,12 @@ def gap_subset_sum(X, t: int, epsilon, seed: int = 0, confidence: int = 4) -> bo
 def solve_knapsack_via_gap(inst: KnapsackInstance, gap_solver=gap_subset_sum) -> bool:
     """Decide a knapsack instance through the gap reduction; small
     instances (n below log2 M) go straight to the exact DP, where the
-    DP is cheap anyway."""
+    DP is cheap anyway. So do instances whose reduced numbers do not fit
+    in 63 bits, which no SubsetSum instance can hold."""
     M = inst.max_number
     if inst.n < clog2(max(2, M)):
         return bellman_knapsack(inst)[1]
     xs, t, eps = knapsack_to_gap_instance(inst)
+    if max(t, *xs) > INT63_MAX:
+        return bellman_knapsack(inst)[1]
     return bool(gap_solver(xs, t, eps))

@@ -213,6 +213,58 @@ def test_capped_sumset_dense_engine_agrees():
     assert sides == {False, True}
 
 
+def test_wide_targets_agree_with_big_int_path():
+    # Above 2^59 the default engine stays grid-free and adds in uint64;
+    # a plain callable still unfolds the grid on exact Python ints.
+    def plain(A, B):
+        return min_conv(A, B)
+
+    rng = np.random.default_rng(4)
+    edges = [2**59 + 1, 2**62 - 1, 2**62, 2**63 - 1]
+    sides, outcomes = set(), set()
+    for trial in range(240):
+        t = edges[trial % 4] if trial < 80 else int(rng.integers(2**59 + 1, 2**63 - 1))
+        delta = t // int(rng.integers(1, 12))
+        if trial % 2:
+            delta -= 1 - delta % 2  # odd delta
+        sets = []
+        for _ in range(2):
+            if rng.random() < 0.15:
+                sets.append(sset({0}, delta, t))
+                continue
+            size = int(rng.integers(1, 40))
+            elems = {0} | {int(x) for x in rng.integers(0, t, size=size, endpoint=True)}
+            # boundary elements 2a = i*delta sit in two intervals
+            elems |= {i * delta // 2 for i in range(2 * t // delta + 1)
+                      if i * delta % 2 == 0 and rng.random() < 0.3}
+            sets.append(sparsify(sorted(elems), t, delta))
+        a1, a2 = sets
+        nc = 16 * ((t + delta - 1) // delta) - 1
+        sides.add(
+            _interval_entries(a1.elems, delta)[0].size * _interval_entries(a2.elems, delta)[0].size
+            >= nc
+        )
+        got = capped_sumset(a1, a2, t, delta)
+        try:
+            want = unbounded_sumset(a1, a2, t, delta, engine=plain)
+        except OverflowError:
+            # an uncapped sum above 2^63 - 1, which the reference cannot hold
+            outcomes.add("overflow")
+            base = naive_sumset(a1.to_list(), a2.to_list(), t)
+            assert set(got.to_list()) <= set(base), f"trial {trial}"
+            assert is_approximation(got, base, t, delta), f"trial {trial}"
+            continue
+        outcomes.add("exact")
+        assert unbounded_sumset(a1, a2, t, delta) == want, f"trial {trial}"
+        assert got == capped_sumset(a1, a2, t, delta, engine=plain), f"trial {trial}"
+    assert sides == {False, True}
+    assert outcomes == {"exact", "overflow"}
+    # the default engine's positions, up to 2*(2t/delta)+1, must fit in int64
+    a = sset({0, 3}, 3, 2**62)
+    with pytest.raises(OverflowError):
+        unbounded_sumset(a, a, 2**62, 3)
+
+
 def test_transitivity_randomized():
     rng = np.random.default_rng(21)
     for trial in range(400):
@@ -253,13 +305,14 @@ def test_sumset_property_randomized():
 
 
 def test_wide_values_python_path():
-    # beyond the int64 kernel range: exercises the exact big-int path
+    # beyond the int64 kernel range a plain callable engine takes the
+    # exact big-int path
     base = 2**60
     t = base * 2
     delta = base // 2
     a1 = sset({0, base}, delta, t)
     a2 = sset({0, base + 17}, delta, t)
-    out = unbounded_sumset(a1, a2, t, delta)
+    out = unbounded_sumset(a1, a2, t, delta, engine=lambda A, B: min_conv(A, B))
     full = naive_sumset(a1.to_list(), a2.to_list())
     assert set(out.to_list()) <= set(full)
     assert is_approximation(out, full, INFINITY, delta)

@@ -140,6 +140,20 @@ def test_solve_via_gap_small_branch_uses_bellman():
     assert solve_knapsack_via_gap(inst2) is False
 
 
+def test_solve_via_gap_wide_reduction_uses_bellman():
+    # the reduced target has 65 bits, more than a SubsetSum instance holds
+    inst = KnapsackInstance(
+        weights=tuple(range(1, 61)), values=(2**50,) + (1,) * 59, budget=64, goal=2**50
+    )
+    assert knapsack_to_gap_instance(inst)[1].bit_length() == 65
+
+    def no_gap_solver(X, t, e):
+        raise AssertionError("the gap solver must not see a 65-bit target")
+
+    assert solve_knapsack_via_gap(inst, no_gap_solver) is True
+    assert solve_knapsack_via_gap(inst) is bellman_knapsack(inst)[1] is True
+
+
 def test_solve_via_gap_agreement_sweep():
     rng = np.random.default_rng(88)
     disagreements = 0

@@ -160,6 +160,18 @@ def test_exact_fallback_small_eps_times_t():
     assert sum(res.witness) == 10
 
 
+@pytest.mark.parametrize("t", [2**59 + 1, 2**62, 2**63 - 1])
+def test_targets_above_int64_kernel_range(t):
+    # regression: near 2^63 the sumsets used to raise OverflowError
+    items = (t // 3, t // 3, t // 5, t // 7, t // 2)
+    eps = Fraction(1, 16)
+    res = approximate_subset_sum(SubsetSumInstance(items=items, target=t), eps)
+    opt = max(subset_sums_bruteforce(items, t))
+    assert sum(res.witness) == res.value <= t
+    assert not (Counter(res.witness) - Counter(items))
+    assert res.value >= min(opt, (1 - eps) * t)
+
+
 def test_exact_subset_sum_oracle_agreement():
     rng = np.random.default_rng(23)
     for _ in range(100):
