@@ -24,21 +24,21 @@ With the default engine the sequences are never laid out: each set has
 at most two defined entries per element, read straight off its sorted
 elements, so a sumset costs O(|A|*|B|) pairs instead of a grid of
 8*ceil(t/delta) entries per operand, for every t below 2^63. The dense
-engine and any other callable engine still unfold the full grid (the
-scaling benchmark measures the dense engine's grid cost); above the
-int64 kernel range they unfold it on exact Python ints.
+engine and any other callable engine get the full grid, scattered from
+the same per-element entries (the scaling benchmark measures the dense
+engine's grid cost); above the int64 kernel range the engine, not the
+unfold, switches to exact Python ints.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ._kernels import VAL_LIMIT, sparsify_sweep
+from ._kernels import sparsify_sweep
 from .core import INFINITY, INT63_MAX, SparseSet
-from .minconv import ConvEngine, ExtSeq, UNDEFINED, max_conv, min_conv
+from .minconv import ConvEngine, ExtSeq, max_conv, min_conv
 
 
 def _elems_array(A) -> np.ndarray:
@@ -153,45 +153,6 @@ def merge_union(A1: SparseSet, A2: SparseSet, t: int | float, delta: int) -> Spa
     return sparsify(merged, t, delta)
 
 
-def _unfold(elems: np.ndarray, n_intervals: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unfold a sparse set into 2*n_intervals per-interval (min, max)
-    entries over the closed intervals [i*delta/2, (i+1)*delta/2].
-
-    A boundary element (2a == i*delta) belongs to both adjacent
-    intervals; realized with exact integer threshold comparisons, so an
-    odd delta introduces no rounding drift.
-    """
-    i_arr = np.arange(n_intervals, dtype=np.int64)
-    lo_thr = (i_arr * delta + 1) // 2  # smallest integer in I_i
-    hi_thr = ((i_arr + 1) * delta) // 2  # largest integer in I_i
-    lo_idx = np.searchsorted(elems, lo_thr, side="left")
-    hi_idx = np.searchsorted(elems, hi_thr, side="right") - 1
-    defined = lo_idx <= hi_idx
-    values = np.zeros(2 * n_intervals, dtype=np.int64)
-    mask = np.zeros(2 * n_intervals, dtype=np.bool_)
-    safe_lo = np.minimum(lo_idx, max(elems.size - 1, 0))
-    safe_hi = np.maximum(hi_idx, 0)
-    if elems.size:
-        values[0::2] = np.where(defined, elems[safe_lo], 0)
-        values[1::2] = np.where(defined, elems[safe_hi], 0)
-    mask[0::2] = defined
-    mask[1::2] = defined
-    return values, mask
-
-
-def _unfold_py(elems: list[int], n_intervals: int, delta: int) -> list:
-    entries: list = [UNDEFINED] * (2 * n_intervals)
-    for i in range(n_intervals):
-        lo_thr = (i * delta + 1) // 2
-        hi_thr = ((i + 1) * delta) // 2
-        lo = bisect_left(elems, lo_thr)
-        hi = bisect_right(elems, hi_thr) - 1
-        if lo <= hi:
-            entries[2 * i] = elems[lo]
-            entries[2 * i + 1] = elems[hi]
-    return entries
-
-
 def first_split(target: int, left: np.ndarray, right: np.ndarray) -> int | None:
     """Smallest a in `left` with target - a in `right` (both sorted
     int64 arrays), found with one vectorized lookup; None if there is
@@ -206,13 +167,14 @@ def first_split(target: int, left: np.ndarray, right: np.ndarray) -> int | None:
 
 
 def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The defined entries of _unfold(elems, ., delta) as (positions,
-    values), without the grid: element a lies in interval
-    i = floor(2a/delta), and also in i-1 when 2a == i*delta; interval i
-    puts its minimum at position 2i and its maximum at 2i+1. With
-    a = q*delta + r, i = 2q + [2r >= delta] and 2a == i*delta iff
+    """The defined entries of a sparse set's unfold as (positions,
+    values), without the grid. The unfold holds a minimum and a maximum
+    per closed interval [i*delta/2, (i+1)*delta/2]: element a lies in
+    interval i = floor(2a/delta), and also in i-1 when 2a == i*delta;
+    interval i puts its minimum at position 2i and its maximum at 2i+1.
+    With a = q*delta + r, i = 2q + [2r >= delta] and 2a == i*delta iff
     r == 0 or 2r == delta; neither test forms 2a or 2r, which can
-    overflow int64."""
+    overflow int64. elems must be non-empty."""
     q, r = np.divmod(elems, delta)
     idx = 2 * q + (r >= delta - r)
     edge = ((r == 0) | (r == delta - r)) & (idx > 0)
@@ -225,6 +187,19 @@ def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.nda
     last = np.concatenate([change, [True]])
     pos = np.concatenate([2 * ids[first], 2 * ids[last] + 1])
     return pos, np.concatenate([vals[first], vals[last]])
+
+
+def _grid(elems: np.ndarray, n_intervals: int, delta: int) -> ExtSeq:
+    """The unfold of a sparse set as a sequence of 2*n_intervals
+    entries: the per-interval minima at even and the maxima at odd
+    positions, undefined where an interval holds no element."""
+    values = np.zeros(2 * n_intervals, dtype=np.int64)
+    defined = np.zeros(2 * n_intervals, dtype=np.bool_)
+    if elems.size:
+        pos, vals = _interval_entries(elems, delta)
+        values[pos] = vals
+        defined[pos] = True
+    return ExtSeq.from_arrays(values, defined)
 
 
 # Grid cells ceil(t/delta) up to which every position 2i+1 of an
@@ -291,26 +266,16 @@ def unbounded_sumset(
     engine = engine or min_conv
     t, delta = int(t), int(delta)
     _check_sumset_args(A1, A2, t, delta)
-    n_intervals = 4 * ((t + delta - 1) // delta)
-
     if isinstance(engine, ConvEngine) and not engine.dense:
         sums = _pairs_sumset(A1.elems, A2.elems, t, delta)
         elems = sums[: int(np.searchsorted(sums, INT63_MAX, side="right"))].astype(np.int64)
-    elif isinstance(engine, ConvEngine) and t <= VAL_LIMIT:
-        x1v, x1d = _unfold(A1.elems, n_intervals, delta)
-        x2v, x2d = _unfold(A2.elems, n_intervals, delta)
-        lo_v, lo_d = engine.conv_masked(x1v, x1d, x2v, x2d)
-        hi_neg, hi_d = engine.conv_masked(-x1v, x1d, -x2v, x2d)
-        collected = np.concatenate([lo_v[lo_d], -hi_neg[hi_d]])
-        elems = np.unique(collected)
     else:
-        X1 = ExtSeq(_unfold_py(A1.to_list(), n_intervals, delta))
-        X2 = ExtSeq(_unfold_py(A2.to_list(), n_intervals, delta))
-        lo = engine(X1, X2)
-        hi = max_conv(X1, X2, engine)
-        vals = {e for e in lo.entries if e is not UNDEFINED}
-        vals |= {e for e in hi.entries if e is not UNDEFINED}
-        elems = np.asarray(sorted(vals), dtype=np.int64) if vals else np.empty(0, np.int64)
+        n_intervals = 4 * ((t + delta - 1) // delta)
+        X1 = _grid(A1.elems, n_intervals, delta)
+        X2 = _grid(A2.elems, n_intervals, delta)
+        lo_v, lo_d = engine(X1, X2).to_arrays()
+        hi_v, hi_d = max_conv(X1, X2, engine).to_arrays()
+        elems = np.unique(np.concatenate([lo_v[lo_d], hi_v[hi_d]]))
     return SparseSet(elems, delta=delta, cap=INFINITY)
 
 

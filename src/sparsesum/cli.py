@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -46,12 +45,16 @@ VERIFY_MAX_ITEMS = 24
 
 
 def parse_eps(text: str) -> Fraction:
-    """Accept '0.25', '1/4', and '2^-6'."""
+    """Accept '0.25', '1/4', and '2^-6'; anything else, a zero
+    denominator included, raises ValueError."""
     text = text.strip()
-    if "^" in text:
-        base, exp = text.split("^", 1)
-        return Fraction(int(base)) ** int(exp)
-    return Fraction(text)
+    try:
+        if "^" in text:
+            base, exp = text.split("^", 1)
+            return Fraction(int(base)) ** int(exp)
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"eps {text!r} divides by zero") from None
 
 
 def parse_eps_sweep(text: str) -> list[Fraction]:
@@ -60,6 +63,8 @@ def parse_eps_sweep(text: str) -> list[Fraction]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = parse_eps(lo_s), parse_eps(hi_s)
+        if lo <= 0 or hi <= 0:
+            raise ValueError(f"eps sweep {text!r} needs positive bounds")
         if lo < hi:
             lo, hi = hi, lo
         out = []
@@ -180,6 +185,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     inst = load_instance(args.input, args.problem)
     if inst.n > VERIFY_MAX_ITEMS:
         print(f"error: brute-force verification capped at {VERIFY_MAX_ITEMS} items", file=sys.stderr)
@@ -199,11 +206,7 @@ def _cmd_verify(args) -> int:
             res = approximate_subset_sum(inst, eps, seed=seed, confidence=args.confidence)
         return seed, verify_guarantee(inst, res, eps, opt)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, seeds))
-    else:
-        reports = [one(s) for s in seeds]
+    reports = [one(s) for s in seeds]
 
     failures = [seed for seed, rep in reports if not rep.passed]
     rate = len(failures) / len(reports)
@@ -262,7 +265,6 @@ def bench_scaling(
     confidence: int = 1,
     engine_name: str = "dense",
     L=None,
-    jobs: int = 1,
 ) -> dict:
     """Time a solver across a geometric eps sweep and fit the runtime
     exponent in 1/eps. Returns {"rows": [...], "exponent": float}.
@@ -293,17 +295,12 @@ def bench_scaling(
         else:
             raise ValueError(f"unknown bench problem {problem!r}")
         elapsed, value = _time_solve(fn, repeat)
-        return eps, L_col, elapsed, value
+        return L_col, elapsed, value
 
-    # one discarded warm-up at the cheapest point (JIT, allocator)
+    # one discarded warm-up at the cheapest point (imports, allocator)
     run_one(max(eps_list))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, eps_list))
-    else:
-        results = [run_one(e) for e in eps_list]
-
-    for eps, L_col, elapsed, value in results:
+    for eps in eps_list:
+        L_col, elapsed, value = run_one(eps)
         rows.append(
             {
                 "problem": problem,
@@ -440,7 +437,6 @@ def _cmd_bench(args) -> int:
             confidence=args.confidence,
             engine_name=args.engine or "dense",
             L=args.L,
-            jobs=args.jobs,
         )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -498,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=1)
     v.add_argument("--confidence", type=int, default=4)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--max-fail-rate", type=float, default=0.01)
     v.set_defaults(func=_cmd_verify)
 
@@ -514,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--confidence", type=int, default=1)
     b.add_argument("--L", type=int, default=None)
     b.add_argument("--engine", choices=sorted(ENGINES), default=None)
-    b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--csv", default=None)
     b.set_defaults(func=_cmd_bench)
 

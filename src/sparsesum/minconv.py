@@ -36,8 +36,9 @@ UNDEFINED = None
 
 _WIDE_MAX = 2**127
 
-# Alias the kernel-side constants; values above VAL_LIMIT take the
-# exact Python-int path.
+# Alias the kernel-side constants. ConvEngine.__call__ runs the int64
+# kernels when every entry lies within VAL_LIMIT and the exact Python-int
+# loop otherwise.
 _VAL_LIMIT = _kernels.VAL_LIMIT
 _SENT = _kernels.SENT
 _DEFINED_MAX = _kernels.DEFINED_MAX
@@ -155,32 +156,19 @@ def as_extseq(seq) -> ExtSeq:
     return seq if isinstance(seq, ExtSeq) else ExtSeq(seq)
 
 
-def _python_minconv(A: ExtSeq, B: ExtSeq, dense: bool) -> list:
-    """Exact Python-int reference path, used when values exceed the
-    int64-safe kernel range. The dense flag only changes the iteration
-    discipline, not the result."""
+def _python_minconv(A: ExtSeq, B: ExtSeq) -> list:
+    """Exact Python-int reference path over the defined pairs, used when
+    values exceed the int64-safe kernel range."""
     ea, eb = A.entries, B.entries
-    na, nb = len(ea), len(eb)
-    out = [UNDEFINED] * (na + nb - 1)
-    if dense:
-        for i in range(na):
-            ai = ea[i]
-            for j in range(nb):
-                if ai is UNDEFINED or eb[j] is UNDEFINED:
-                    continue
-                s = ai + eb[j]
-                cur = out[i + j]
-                if cur is UNDEFINED or s < cur:
-                    out[i + j] = s
-    else:
-        adef = [(i, v) for i, v in enumerate(ea) if v is not UNDEFINED]
-        bdef = [(j, v) for j, v in enumerate(eb) if v is not UNDEFINED]
-        for i, ai in adef:
-            for j, bj in bdef:
-                s = ai + bj
-                cur = out[i + j]
-                if cur is UNDEFINED or s < cur:
-                    out[i + j] = s
+    out = [UNDEFINED] * (len(ea) + len(eb) - 1)
+    adef = [(i, v) for i, v in enumerate(ea) if v is not UNDEFINED]
+    bdef = [(j, v) for j, v in enumerate(eb) if v is not UNDEFINED]
+    for i, ai in adef:
+        for j, bj in bdef:
+            s = ai + bj
+            cur = out[i + j]
+            if cur is UNDEFINED or s < cur:
+                out[i + j] = s
     return out
 
 
@@ -230,7 +218,7 @@ class ConvEngine:
             cv, cd = self.conv_masked(av, ad, bv, bd)
             return ExtSeq.from_arrays(cv, cd)
         wide = A.wide or B.wide
-        out = _python_minconv(A, B, self.dense)
+        out = _python_minconv(A, B)
         _check_output_width(out, wide)
         return ExtSeq(out, wide=wide)
 

@@ -8,6 +8,7 @@ failures, so a red run is directly reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from collections import Counter
 from fractions import Fraction
@@ -75,6 +76,25 @@ def minconv_oracle_fast(A, B, use_max: bool = False) -> list:
         rows[i, i : i + nb] = sums[i]
     col = rows.max(axis=0) if use_max else rows.min(axis=0)
     return [UNDEFINED if np.isinf(v) else int(v) for v in col]
+
+
+def unfold_oracle(elems, n_intervals: int, delta: int) -> list:
+    """Unfold a sorted set into 2*n_intervals entries: the minimum and
+    the maximum of each closed interval [i*delta/2, (i+1)*delta/2] at
+    positions 2i and 2i+1, UNDEFINED where the interval is empty.
+
+    Each interval's smallest and largest integer are found by exact
+    Python-int thresholds and bisect, interval by interval, so it
+    shares no code with the sumset routines it checks."""
+    elems = [int(e) for e in elems]
+    entries: list = [UNDEFINED] * (2 * n_intervals)
+    for i in range(n_intervals):
+        lo = bisect_left(elems, (i * delta + 1) // 2)
+        hi = bisect_right(elems, ((i + 1) * delta) // 2) - 1
+        if lo <= hi:
+            entries[2 * i] = elems[lo]
+            entries[2 * i + 1] = elems[hi]
+    return entries
 
 
 def subset_sums_bitset(items, cap: int) -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsesum.approxset import (
+    _grid,
     _interval_entries,
     apx_bounds,
     capped_sumset,
@@ -18,7 +19,7 @@ from sparsesum.approxset import (
 )
 from sparsesum.core import INFINITY, SparseSet, is_delta_sparse
 from sparsesum.minconv import min_conv, min_conv_dense
-from sparsesum.testkit import naive_sumset
+from sparsesum.testkit import naive_sumset, unfold_oracle
 
 
 def sset(elems, delta, cap):
@@ -165,6 +166,32 @@ def test_capped_sumset_examples_and_oracle():
         assert is_approximation(out, base, t, delta), f"trial {trial}"
 
 
+def test_grid_matches_unfold_oracle():
+    # The dense and callable engines share _interval_entries with the
+    # default engine; the oracle recomputes every interval from scratch.
+    rng = np.random.default_rng(5)
+    for trial in range(2000):
+        if trial % 4 == 3:
+            t = int(rng.integers(2**59, 2**63 - 1, endpoint=True))
+            delta = t // int(rng.integers(1, 12))
+        else:
+            t = int(rng.integers(1, 300))
+            delta = int(rng.integers(1, t + 1))
+        if trial % 2:
+            delta -= 1 - delta % 2  # odd delta
+        n_intervals = 4 * ((t + delta - 1) // delta)
+        size = int(rng.integers(0, 30))
+        elems = {int(x) for x in rng.integers(0, t, size=size, endpoint=True)}
+        # boundary elements 2a = i*delta sit in two intervals
+        elems |= {i * delta // 2 for i in range(2 * t // delta + 1)
+                  if i * delta % 2 == 0 and rng.random() < 0.3}
+        if trial % 10 == 0:
+            elems = set()
+        elems = np.asarray(sorted(elems), dtype=np.int64)
+        got = _grid(elems, n_intervals, delta)
+        assert got == unfold_oracle(elems.tolist(), n_intervals, delta), f"trial {trial}"
+
+
 def test_capped_sumset_dense_engine_agrees():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -215,7 +242,8 @@ def test_capped_sumset_dense_engine_agrees():
 
 def test_wide_targets_agree_with_big_int_path():
     # Above 2^59 the default engine stays grid-free and adds in uint64;
-    # a plain callable still unfolds the grid on exact Python ints.
+    # a plain callable unfolds the grid and convolves it on exact Python
+    # ints.
     def plain(A, B):
         return min_conv(A, B)
 

@@ -153,3 +153,25 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 5\n0\n")
     assert main(["solve", "subsetsum", "--input", str(bad), "--eps", "1/4"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "subsetsum", "--eps", "1/0"],
+        ["solve", "subsetsum", "--eps", "0^-1"],
+        ["bench", "subsetsum", "--eps-sweep", "1/0..2^-3"],
+        ["bench", "subsetsum", "--eps-sweep", "0..2^-3"],
+        ["verify", "subsetsum", "--trials", "0"],
+        ["verify", "subsetsum", "--trials", "-1"],
+    ],
+)
+def test_bad_numbers_are_typed_errors(tmp_path, capsys, argv):
+    path = tmp_path / "s.txt"
+    run(capsys, "gen", "subsetsum", "--n", "6", "--max-item", "50", "--out", str(path))
+    if argv[0] != "bench":
+        argv = argv + ["--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err

@@ -4,6 +4,7 @@ wrapping, and the multi-instance packing construction."""
 import numpy as np
 import pytest
 
+from sparsesum._kernels import VAL_LIMIT
 from sparsesum.minconv import (
     UNDEFINED,
     ExtSeq,
@@ -78,13 +79,24 @@ def test_max_geq_min_where_both_defined():
 
 
 def test_python_bigint_path_matches():
-    big = 2**61  # beyond the int64-safe kernel range, still 63-bit legal
-    A = seq(big, B, 5)
-    Bs = seq(1, big)
-    assert min_conv(A, Bs) == tuple(minconv_oracle(A, Bs))
-    assert max_conv(A, Bs) == tuple(minconv_oracle(A, Bs, use_max=True))
-    with pytest.raises(OverflowError):
-        min_conv(seq(2**62), seq(2**62))  # defined sum leaves the 63-bit range
+    # An entry above the int64 kernel range sends both engines to the
+    # exact Python-int loop; entries within 2^62 keep every sum 63-bit.
+    rng = np.random.default_rng(61)
+    for trial in range(200):
+        A, Bs = (
+            random_extseq(rng, max_val=2**62 - 1, allow_negative=bool(trial % 2))
+            for _ in range(2)
+        )
+        A = ExtSeq([VAL_LIMIT + 1 + int(rng.integers(2**61)), *A])
+        assert A.max_abs > VAL_LIMIT
+        expect = tuple(minconv_oracle(A, Bs))
+        expect_max = tuple(minconv_oracle(A, Bs, use_max=True))
+        for engine in (min_conv, min_conv_dense):
+            assert engine(A, Bs) == expect, f"{engine.name} mismatch at trial {trial}"
+            assert max_conv(A, Bs, engine) == expect_max, f"{engine.name} max at trial {trial}"
+    for engine in (min_conv, min_conv_dense):
+        with pytest.raises(OverflowError):
+            engine(seq(2**62), seq(2**62))  # defined sum leaves the 63-bit range
 
 
 def test_extseq_validation():
