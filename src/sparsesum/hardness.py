@@ -30,6 +30,7 @@ from .core import INT63_MAX, InvariantError, KnapsackInstance, SubsetSumInstance
 from .subsetsum import approximate_subset_sum, clog2
 
 _REDUCTION_BUDGET = 2**126
+BELLMAN_BUDGET = 2**27  # max DP length W+1: int64 entries, 1 GiB
 
 
 def bellman_knapsack(inst: KnapsackInstance) -> tuple[int, bool]:
@@ -39,6 +40,8 @@ def bellman_knapsack(inst: KnapsackInstance) -> tuple[int, bool]:
     total_pos = sum(v for v in inst.values if v > 0)
     if total_pos > 2**62:
         raise OverflowError(f"total positive value {total_pos} risks int64 overflow")
+    if W + 1 > BELLMAN_BUDGET:
+        raise MemoryError(f"knapsack DP length {W + 1} exceeds BELLMAN_BUDGET = {BELLMAN_BUDGET}")
     dp = np.zeros(W + 1, dtype=np.int64)
     for w, v in zip(inst.weights, inst.values):
         if w > W or v <= 0:

@@ -5,11 +5,13 @@ scheme splits the items into at most L parts whose sums are balanced
 (or singletons), computes a delta-sparse approximation of each part's
 subset sums bottom-up with approximate sumsets ("bottom half"), rounds
 everything down by R = delta/L, and combines the L rounded sets with
-*exact* sumsets via FFT in a balanced tree ("top half"). Rounding an
-L-fold sum loses at most L*R <= delta additively, so the largest
-combined sum below sigma/2 is within 2*delta of the optimum; the
-complement trick (swap Y for X \\ Y when Y overshoots sigma/2) turns
-that into a two-sided guarantee without randomness.
+*exact* sumsets in a balanced tree ("top half"): numpy real FFTs padded
+to 5-smooth lengths, whose total length SUMSET_BUDGET caps before any
+transform runs. Rounding an L-fold sum loses at most L*R <= delta
+additively, so the largest combined sum below sigma/2 is within 2*delta
+of the optimum; the complement trick (swap Y for X \\ Y when Y
+overshoots sigma/2) turns that into a two-sided guarantee without
+randomness.
 
 The additive budget is delta = max(1, floor(eps*sigma/8)). An
 eps*sigma/4 budget would only give (1-2*eps)*OPT against the provable
@@ -29,13 +31,12 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .approxset import first_split, sparsify, unbounded_sumset
 from .core import INFINITY, ApproxResult, InvariantError, PartitionInstance, SparseSet
 from .minconv import min_conv
 
-SUMSET_BUDGET = 2**27  # max FFT length in the top half
+SUMSET_BUDGET = 2**26  # max top-half sumset length: ~40 bytes per slot at its FFT
 _NAIVE_PAIRS = 4096  # below this, exact pairwise beats the FFT
 
 
@@ -137,6 +138,24 @@ def weak_round(Z, R: int) -> np.ndarray:
     return np.unique(arr // R)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: the lengths at which numpy's real
+    FFT is fastest. Each odd part q gets the fewest doublings that reach n."""
+    bits = n.bit_length()
+    odd = (3**i * 5**j for i in range(bits) for j in range(bits))
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D arrays by real FFTs,
+    padded to a 5-smooth length."""
+    n = a.size + b.size - 1
+    m = _fast_len(n)
+    fa = np.fft.rfft(a, m)
+    fa *= np.fft.rfft(b, m)
+    return np.fft.irfft(fa, m)[:n]
+
+
 def _sumset_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact sumset of two sorted non-negative integer arrays."""
     if a.size == 0 or b.size == 0:
@@ -165,48 +184,48 @@ class SumTreeNode:
     values: np.ndarray
     left: Optional["SumTreeNode"] = None
     right: Optional["SumTreeNode"] = None
-    part_index: Optional[int] = None  # set on leaves
+    part_index: Optional[int] = None  # set on leaves: index into the input sets
 
 
-def _build_sum_tree(leaves: list[SumTreeNode], budget: int) -> SumTreeNode:
+def _sum_tree(sets: list[np.ndarray]) -> Optional[SumTreeNode]:
+    """Balanced tree of exact pairwise sumsets over the sorted arrays in
+    sets; leaves keep their index into sets. Sets equal to {0} (identity
+    elements) and empty sets are skipped; None when nothing is left. The
+    total length is checked against SUMSET_BUDGET before any sumset is
+    built; no node can be longer."""
+    leaves = [
+        SumTreeNode(values=z, part_index=i)
+        for i, z in enumerate(sets)
+        if z.size and not (z.size == 1 and z[0] == 0)
+    ]
+    if not leaves:
+        return None
+    length = sum(int(leaf.values[-1]) for leaf in leaves) + 1
+    if length > SUMSET_BUDGET:
+        raise MemoryError(
+            f"exact sumset length {length} exceeds SUMSET_BUDGET = {SUMSET_BUDGET}"
+        )
     level = leaves
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            a, b = level[i], level[i + 1]
-            top = int(a.values[-1]) + int(b.values[-1])
-            if top + 1 > budget:
-                raise MemoryError(
-                    f"exact sumset length {top + 1} exceeds the budget {budget}"
-                )
-            nxt.append(
-                SumTreeNode(values=_sumset_pair(a.values, b.values), left=a, right=b)
-            )
+        nxt = [
+            SumTreeNode(values=_sumset_pair(a.values, b.values), left=a, right=b)
+            for a, b in zip(level[0::2], level[1::2])
+        ]
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
     return level[0]
 
 
-def exact_sumset_tree(zsets, budget: int = SUMSET_BUDGET) -> np.ndarray:
+def exact_sumset_tree(zsets) -> np.ndarray:
     """Exact sumset Z_1 + ... + Z_L of non-negative integer sets,
     computed pairwise in a balanced tree (FFT-backed above a small
     cutoff). Sets equal to {0} are identity elements and are skipped."""
-    arrays = []
-    for z in zsets:
-        arr = np.unique(np.asarray(list(z), dtype=np.int64))
-        if arr.size and arr[0] < 0:
-            raise ValueError("sumset elements must be non-negative")
-        if arr.size == 0 or (arr.size == 1 and arr[0] == 0):
-            continue
-        arrays.append(arr)
-    if not arrays:
-        return np.array([0], dtype=np.int64)
-    sigma = sum(int(a[-1]) for a in arrays)
-    if sigma + 1 > budget:
-        raise MemoryError(f"total sumset length {sigma + 1} exceeds the budget {budget}")
-    leaves = [SumTreeNode(values=a) for a in arrays]
-    return _build_sum_tree(leaves, budget).values
+    arrays = [np.unique(np.asarray(list(z), dtype=np.int64)) for z in zsets]
+    if any(arr.size and arr[0] < 0 for arr in arrays):
+        raise ValueError("sumset elements must be non-negative")
+    tree = _sum_tree(arrays)
+    return np.array([0], dtype=np.int64) if tree is None else tree.values
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +262,6 @@ def approximate_partition(
     epsilon,
     L: Optional[int] = None,
     engine=None,
-    budget: int = SUMSET_BUDGET,
     return_trace: bool = False,
 ):
     """Deterministic Partition scheme: returns Y' with
@@ -297,39 +315,13 @@ def approximate_partition(
     bottoms: list[BottomNode] = []
     zsets: list[SparseSet] = []
     for part in parts:
-        if len(part) == 1:
-            leaf = BottomNode(
-                result=SparseSet(
-                    np.unique(np.array([0, part[0]], dtype=np.int64)),
-                    delta=delta,
-                    cap=INFINITY,
-                ),
-                item=part[0],
-            )
-            bottoms.append(leaf)
-            zsets.append(leaf.result)
-        else:
-            z, node = bottom_half(part, delta, engine=engine)
-            bottoms.append(node)
-            zsets.append(z)
+        z, node = bottom_half(part, delta, engine=engine)
+        bottoms.append(node)
+        zsets.append(z)
 
     rounded = [weak_round(z.elems, R) for z in zsets]
-    leaves = [
-        SumTreeNode(values=r, part_index=i)
-        for i, r in enumerate(rounded)
-        if not (r.size == 1 and r[0] == 0)
-    ]
-    if leaves:
-        sigma_rounded = sum(int(leaf.values[-1]) for leaf in leaves)
-        if sigma_rounded + 1 > budget:
-            raise MemoryError(
-                f"top-half sumset length {sigma_rounded + 1} exceeds the budget {budget}"
-            )
-        tree = _build_sum_tree(leaves, budget)
-        final = R * tree.values
-    else:
-        tree = None
-        final = np.array([0], dtype=np.int64)
+    tree = _sum_tree(rounded)
+    final = np.array([0], dtype=np.int64) if tree is None else R * tree.values
 
     idx = int(np.searchsorted(final, half, side="right")) - 1
     s_best = int(final[idx])

@@ -155,6 +155,21 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert main(["solve", "subsetsum", "--input", str(bad), "--eps", "1/4"]) == 1
 
 
+def test_memory_budgets_exit_1(tmp_path, capsys):
+    # 32 items at eps = 2^-17 need a top-half sumset of ~2^28.5 slots
+    part = tmp_path / "p.txt"
+    run(capsys, "gen", "partition", "--n", "32", "--max-item", str(10**12), "--out", str(part))
+    code, out, err = run(capsys, "solve", "partition", "--input", str(part), "--eps", "2^-17")
+    assert code == 1
+    assert err.startswith("error: ") and "SUMSET_BUDGET" in err
+    knap = tmp_path / "k.txt"
+    knap.write_text(f"1 {2**27} 1\n1 1\n")
+    for via in ("dp", "gap"):
+        code, out, err = run(capsys, "solve", "knapsack", "--input", str(knap), "--via", via)
+        assert code == 1
+        assert err.startswith("error: ") and "BELLMAN_BUDGET" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

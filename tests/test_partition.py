@@ -1,14 +1,21 @@
 """The deterministic Partition scheme and its pieces, against exact
 brute-force oracles."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsesum
 from sparsesum.approxset import is_approximation
 from sparsesum.core import INFINITY, PartitionInstance, subset_sums_bruteforce
 from sparsesum.partition import (
+    _NAIVE_PAIRS,
+    _fast_len,
     approximate_partition,
     bottom_half,
     exact_sumset_tree,
@@ -84,12 +91,58 @@ def test_exact_sumset_tree_matches_iterated_naive():
         assert exact_sumset_tree(zsets).tolist() == expected, f"trial {trial}"
 
 
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, int(n**0.5) + 1))
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def test_exact_sumset_tree_fft_path():
-    # big enough to leave the naive-pairs cutoff
+    # pairs on both sides of the naive cutoff, tops up to ~2^16, and
+    # output lengths that are prime (padded), 5-smooth (not padded) or one
+    # above a 5-smooth number (padded the most)
+    length_kinds = (_is_prime, _is_5_smooth, lambda n: _is_5_smooth(n - 1))
     rng = np.random.default_rng(16)
-    a = sorted({0} | {int(x) for x in rng.integers(1, 3000, size=200)})
-    b = sorted({0} | {int(x) for x in rng.integers(1, 3000, size=200)})
-    assert exact_sumset_tree([a, b]).tolist() == naive_sumset(a, b)
+    fft_pairs = 0
+    for trial in range(30):
+        top_a, top_b = (int(x) for x in rng.integers(1, 2**16, size=2))
+        while not length_kinds[trial % 3](top_a + top_b + 1):
+            top_b += 1
+        size_a, size_b = (int(x) for x in rng.integers(2, [60, 300][trial // 3 % 2], size=2))
+        a = sorted({0, top_a} | {int(x) for x in rng.integers(1, top_a + 1, size=size_a)})
+        b = sorted({0, top_b} | {int(x) for x in rng.integers(1, top_b + 1, size=size_b)})
+        fft_pairs += len(a) * len(b) > _NAIVE_PAIRS
+        assert exact_sumset_tree([a, b]).tolist() == naive_sumset(a, b), f"trial {trial}"
+    assert 10 <= fft_pairs <= 20
+
+
+def test_fast_len_is_smallest_5_smooth():
+    for n in range(1, 5001):
+        m = n
+        while not _is_5_smooth(m):
+            m += 1
+        assert _fast_len(n) == m, f"n={n}"
+
+
+def test_import_needs_numpy_only():
+    # a fresh interpreter: importing sparsesum after numpy loads no other
+    # third-party package
+    src = str(Path(sparsesum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, numpy\n"
+        "def tops(): return {m.split('.')[0] for m in sys.modules}\n"
+        "before = tops()\n"
+        "import sparsesum\n"
+        "print(sorted(tops() - before - set(sys.stdlib_module_names) - {'sparsesum'}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_weak_round():
