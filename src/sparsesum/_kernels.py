@@ -1,13 +1,14 @@
 """Hot integer kernels, in numpy.
 
-All kernels work on int64. The convolution kernels need values within
-VAL_LIMIT so that a pairwise sum can never leave the int64 range;
-ConvEngine takes its exact Python-int path above it. The
+The pairs kernel works on any dtype: ConvEngine runs it on int64 while
+every entry lies within VAL_LIMIT, so that no pairwise sum can leave the
+int64 range, and on object arrays of Python ints, exactly, above it. The
 sparsification sweep only subtracts non-negative values and takes any
-int64. The dense kernel encodes "undefined" as the sentinel SENT; any
-accumulated minimum that still exceeds DEFINED_MAX after the sweep had
-no defined pair (defined sums are bounded by 2*VAL_LIMIT = DEFINED_MAX,
-sums touching a sentinel are at least SENT - VAL_LIMIT > DEFINED_MAX).
+int64. The dense kernel is int64 only and encodes "undefined" as the
+sentinel SENT; any accumulated minimum that still exceeds DEFINED_MAX
+after the sweep had no defined pair (defined sums are bounded by
+2*VAL_LIMIT = DEFINED_MAX, sums touching a sentinel are at least
+SENT - VAL_LIMIT > DEFINED_MAX).
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ DEFINED_MAX = 2 * VAL_LIMIT
 def pairs_minconv(avals, apos, bvals, bpos, nc):
     """Min-plus convolution over the defined entries only.
 
-    avals/bvals are the defined values, apos/bpos their positions.
-    Returns (values, defined) arrays of length nc.
+    avals/bvals are the defined values, apos/bpos their positions; the
+    output has their dtype. Returns (values, defined) arrays of length
+    nc, with 0 at undefined positions.
     """
-    cv = np.full(nc, SENT, dtype=np.int64)
+    cv = np.zeros(nc, dtype=avals.dtype)
     cd = np.zeros(nc, dtype=np.bool_)
     if avals.size and bvals.size:
         sums = np.add.outer(avals, bvals).ravel()
         ks = np.add.outer(apos, bpos).ravel()
+        cv[ks] = sums  # seed every reached position with one of its sums
         np.minimum.at(cv, ks, sums)
         cd[ks] = True
     return cv, cd

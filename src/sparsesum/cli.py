@@ -379,8 +379,8 @@ def bench_minconv(sizes, repeat: int = 1, seed: int = 0, engine_name: str = "den
     warm = ExtSeq([1, 2, 3])
     engine(warm, warm)  # discarded warm-up
     for size in sizes:
-        a = ExtSeq([int(x) for x in rng.integers(0, 10**6, size=size)])
-        b = ExtSeq([int(x) for x in rng.integers(0, 10**6, size=size)])
+        a = ExtSeq.from_arrays(rng.integers(0, 10**6, size=size), np.ones(size, bool))
+        b = ExtSeq.from_arrays(rng.integers(0, 10**6, size=size), np.ones(size, bool))
 
         def fn(a=a, b=b):
             engine(a, b)

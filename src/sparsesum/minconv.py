@@ -17,6 +17,11 @@ signature can be plugged into the sumset routines instead. For engines
 that cannot represent UNDEFINED natively, sentinel_wrap/sentinel_unwrap
 map it to a large finite value and classify it back.
 
+An ExtSeq is a value array plus a defined mask: int64 values when every
+entry fits, an object array of Python ints otherwise. Both engines run
+their int64 kernels while every entry lies within VAL_LIMIT = 2^59; above
+it they run the same pairs kernel on object arrays, which is exact.
+
 batch_min_conv packs many square instances into a single engine call:
 instance r (1-based, sizes sorted non-increasing, prefix sums s_r) is
 embedded at offset 2*s_r with its entries shifted by r^2*2M, and the
@@ -36,91 +41,81 @@ UNDEFINED = None
 
 _WIDE_MAX = 2**127
 
-# Alias the kernel-side constants. ConvEngine.__call__ runs the int64
-# kernels when every entry lies within VAL_LIMIT and the exact Python-int
-# loop otherwise.
-_VAL_LIMIT = _kernels.VAL_LIMIT
-_SENT = _kernels.SENT
-_DEFINED_MAX = _kernels.DEFINED_MAX
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+def _stored(values: np.ndarray, defined: np.ndarray, wide: bool) -> np.ndarray:
+    """The values with undefined positions zeroed: int64 when every entry
+    lies within +-(2^63 - 1), else an object array of Python ints. Raises
+    OverflowError for an entry beyond 63 bits (127 bits when wide)."""
+    values = np.where(defined, values, 0)
+    try:
+        narrow = values.astype(np.int64, copy=False)
+    except OverflowError:  # an object array holding an entry beyond int64
+        narrow = None
+    if narrow is not None and narrow.min(initial=0) > -INT63_MAX - 1:
+        return narrow
+    values = _to_int(values)
+    over = np.abs(values) > (_WIDE_MAX if wide else INT63_MAX)
+    if over.any():
+        raise OverflowError(
+            f"entry {values[over][0]} exceeds the {'127' if wide else '63'}-bit bound"
+        )
+    return values
 
 
 class ExtSeq:
-    """Immutable sequence over (int | UNDEFINED).
+    """Immutable sequence over (int | UNDEFINED), stored as a value array
+    and a defined mask; undefined positions hold 0.
 
     Defined entries must fit in 63 bits; internal callers (the packing
     lemma) may pass wide=True to allow up to 127 bits, matching the
     wider intermediate budget there.
     """
 
-    __slots__ = ("_entries", "_values", "_defined", "_max_abs", "wide")
+    __slots__ = ("_values", "_defined", "wide")
 
     def __init__(self, entries: Iterable, *, wide: bool = False):
-        ents = []
-        max_abs = 0
-        limit = _WIDE_MAX if wide else INT63_MAX
-        for e in entries:
-            if e is UNDEFINED:
-                ents.append(UNDEFINED)
-                continue
-            v = int(e)
-            if abs(v) > limit:
-                raise OverflowError(
-                    f"entry {v} exceeds the {'127' if wide else '63'}-bit bound"
-                )
-            if abs(v) > max_abs:
-                max_abs = abs(v)
-            ents.append(v)
-        self._entries = tuple(ents)
-        self._max_abs = max_abs
-        self._values = None
-        self._defined = None
-        self.wide = wide
+        values = np.array(list(entries), dtype=object)
+        self._init(values, np.not_equal(values, UNDEFINED), wide)
 
-    @classmethod
-    def from_arrays(cls, values: np.ndarray, defined: np.ndarray) -> "ExtSeq":
-        """Build from an int64 value array and a defined mask (no copy of
-        semantics: undefined positions' values are ignored)."""
-        seq = cls.__new__(cls)
-        values = np.ascontiguousarray(values, dtype=np.int64)
+    def _init(self, values, defined, wide: bool) -> None:
         defined = np.ascontiguousarray(defined, dtype=np.bool_)
         if values.shape != defined.shape or values.ndim != 1:
             raise ValueError("values and defined must be equal-length 1-D arrays")
-        seq._entries = None
-        seq._values = values
-        seq._defined = defined
-        seq._max_abs = int(np.abs(values[defined]).max()) if defined.any() else 0
-        seq.wide = False
+        self._values = _stored(values, defined, wide)
+        self._defined = defined
+        self.wide = wide
+
+    @classmethod
+    def _of(cls, values: np.ndarray, defined: np.ndarray, wide: bool) -> "ExtSeq":
+        seq = cls.__new__(cls)
+        seq._init(np.asarray(values), defined, wide)
         return seq
+
+    @classmethod
+    def from_arrays(cls, values: np.ndarray, defined: np.ndarray) -> "ExtSeq":
+        """Build from a value array and a defined mask; undefined
+        positions' values are ignored. Object arrays of Python ints are
+        narrowed to int64 when every defined entry fits."""
+        return cls._of(values, defined, wide=False)
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            vals = self._values.tolist()
-            defs = self._defined.tolist()
-            self._entries = tuple(v if d else UNDEFINED for v, d in zip(vals, defs))
-        return self._entries
+        return tuple(
+            v if d else UNDEFINED
+            for v, d in zip(self._values.tolist(), self._defined.tolist())
+        )
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._values is None:
-            n = len(self._entries)
-            values = np.zeros(n, dtype=np.int64)
-            defined = np.zeros(n, dtype=np.bool_)
-            for i, e in enumerate(self._entries):
-                if e is not UNDEFINED:
-                    values[i] = e
-                    defined[i] = True
-            self._values = values
-            self._defined = defined
         return self._values, self._defined
 
     @property
     def max_abs(self) -> int:
-        return self._max_abs
+        return int(np.abs(self._values).max(initial=0))
 
     def __len__(self) -> int:
-        if self._entries is not None:
-            return len(self._entries)
-        return int(self._values.size)
+        return self._values.size
 
     def __iter__(self):
         return iter(self.entries)
@@ -144,39 +139,18 @@ class ExtSeq:
         return f"ExtSeq([{shown}{tail}])"
 
     def negate(self) -> "ExtSeq":
-        if self._entries is None and self._max_abs <= _VAL_LIMIT:
-            return ExtSeq.from_arrays(-self._values, self._defined)
-        return ExtSeq(
-            (UNDEFINED if e is UNDEFINED else -e for e in self.entries),
-            wide=self.wide,
-        )
+        return ExtSeq._of(-self._values, self._defined, self.wide)
 
 
 def as_extseq(seq) -> ExtSeq:
     return seq if isinstance(seq, ExtSeq) else ExtSeq(seq)
 
 
-def _python_minconv(A: ExtSeq, B: ExtSeq) -> list:
-    """Exact Python-int reference path over the defined pairs, used when
-    values exceed the int64-safe kernel range."""
-    ea, eb = A.entries, B.entries
-    out = [UNDEFINED] * (len(ea) + len(eb) - 1)
-    adef = [(i, v) for i, v in enumerate(ea) if v is not UNDEFINED]
-    bdef = [(j, v) for j, v in enumerate(eb) if v is not UNDEFINED]
-    for i, ai in adef:
-        for j, bj in bdef:
-            s = ai + bj
-            cur = out[i + j]
-            if cur is UNDEFINED or s < cur:
-                out[i + j] = s
-    return out
-
-
-def _check_output_width(entries, wide: bool):
-    limit = _WIDE_MAX if wide else INT63_MAX
-    for e in entries:
-        if e is not UNDEFINED and abs(e) > limit:
-            raise OverflowError(f"convolution output {e} overflows the 63-bit range")
+def _pairs_conv(av, ad, bv, bd) -> tuple[np.ndarray, np.ndarray]:
+    apos = np.flatnonzero(ad)
+    bpos = np.flatnonzero(bd)
+    nc = av.shape[0] + bv.shape[0] - 1
+    return _kernels.pairs_minconv(av[apos], apos, bv[bpos], bpos, nc)
 
 
 class ConvEngine:
@@ -196,31 +170,24 @@ class ConvEngine:
         return f"<ConvEngine {self.name}>"
 
     def conv_masked(self, av, ad, bv, bd) -> tuple[np.ndarray, np.ndarray]:
-        nc = av.shape[0] + bv.shape[0] - 1
-        if self.dense:
-            a = np.where(ad, av, _SENT)
-            b = np.where(bd, bv, _SENT)
-            raw = _kernels.dense_minconv(a, b)
-            defined = raw <= _DEFINED_MAX
-            return np.where(defined, raw, 0), defined
-        apos = np.flatnonzero(ad).astype(np.int64)
-        bpos = np.flatnonzero(bd).astype(np.int64)
-        cv, cd = _kernels.pairs_minconv(av[apos], apos, bv[bpos], bpos, nc)
-        return np.where(cd, cv, 0), cd
+        if not self.dense:
+            return _pairs_conv(av, ad, bv, bd)
+        a = np.where(ad, av, _kernels.SENT)
+        b = np.where(bd, bv, _kernels.SENT)
+        raw = _kernels.dense_minconv(a, b)
+        defined = raw <= _kernels.DEFINED_MAX
+        return np.where(defined, raw, 0), defined
 
     def __call__(self, A, B) -> ExtSeq:
         A, B = as_extseq(A), as_extseq(B)
         if len(A) < 1 or len(B) < 1:
             raise ValueError("convolution inputs must be non-empty")
-        if A.max_abs <= _VAL_LIMIT and B.max_abs <= _VAL_LIMIT:
-            av, ad = A.to_arrays()
-            bv, bd = B.to_arrays()
-            cv, cd = self.conv_masked(av, ad, bv, bd)
-            return ExtSeq.from_arrays(cv, cd)
-        wide = A.wide or B.wide
-        out = _python_minconv(A, B)
-        _check_output_width(out, wide)
-        return ExtSeq(out, wide=wide)
+        av, ad = A.to_arrays()
+        bv, bd = B.to_arrays()
+        if A.max_abs <= _kernels.VAL_LIMIT and B.max_abs <= _kernels.VAL_LIMIT:
+            return ExtSeq.from_arrays(*self.conv_masked(av, ad, bv, bd))
+        cv, cd = _pairs_conv(av.astype(object), ad, bv.astype(object), bd)
+        return ExtSeq._of(cv, cd, A.wide or B.wide)
 
 
 min_conv = ConvEngine("pairs", dense=False)
@@ -304,13 +271,10 @@ def batch_min_conv(instances, engine=None) -> list[ExtSeq]:
         if len(a) != len(b):
             raise ValueError("packing requires square instances (|A_r| = |B_r|)")
         for seq in (a, b):
-            for e in seq.entries:
-                if e is UNDEFINED:
-                    continue
-                if e < 0:
-                    raise ValueError(f"packing requires entries in [0, M], got {e}")
-                if e > big:
-                    big = e
+            values, _ = seq.to_arrays()  # undefined positions hold 0
+            if values.min(initial=0) < 0:
+                raise ValueError(f"packing requires entries in [0, M], got {values.min()}")
+            big = max(big, int(values.max(initial=0)))
     m = len(pairs)
     shift_top = m * m * 4 * big
     if shift_top >= _BATCH_BUDGET:
@@ -320,41 +284,28 @@ def batch_min_conv(instances, engine=None) -> list[ExtSeq]:
 
     order = sorted(range(m), key=lambda r: -len(pairs[r][0]))
     sizes = [len(pairs[r][0]) for r in order]
-    prefix = [0]
-    for nr in sizes:
-        prefix.append(prefix[-1] + nr)
+    prefix = np.cumsum([0, *sizes]).tolist()
     total = prefix[-1]
 
-    comb_a: list = [UNDEFINED] * (4 * total)
-    comb_b: list = [UNDEFINED] * (4 * total)
-    for rank, src in enumerate(order):
-        shift = (rank + 1) * (rank + 1) * 2 * big
-        off = 2 * prefix[rank]
-        ea, eb = pairs[src][0].entries, pairs[src][1].entries
-        for i, e in enumerate(ea):
-            if e is not UNDEFINED:
-                comb_a[off + i] = shift + e
-        for j, e in enumerate(eb):
-            if e is not UNDEFINED:
-                comb_b[off + j] = shift + e
+    packed = []
+    for side in (0, 1):
+        values = np.zeros(4 * total, dtype=object)
+        defined = np.zeros(4 * total, dtype=np.bool_)
+        for rank, src in enumerate(order):
+            off, nr = 2 * prefix[rank], sizes[rank]
+            v, d = pairs[src][side].to_arrays()
+            values[off : off + nr] = v.astype(object) + (rank + 1) ** 2 * 2 * big
+            defined[off : off + nr] = d
+        packed.append(ExtSeq._of(values, defined, wide=True))
 
-    combined = engine(ExtSeq(comb_a, wide=True), ExtSeq(comb_b, wide=True))
-    centries = combined.entries
+    cv, cd = engine(*packed).to_arrays()
+    cv = cv.astype(object)
 
     results: list[ExtSeq | None] = [None] * m
     for rank, src in enumerate(order):
-        unshift = (rank + 1) * (rank + 1) * 4 * big
-        off = 4 * prefix[rank]
-        nr = sizes[rank]
-        out = []
-        for k in range(2 * nr - 1):
-            raw = centries[off + k]
-            if raw is UNDEFINED:
-                out.append(UNDEFINED)
-                continue
-            val = raw - unshift
-            # cross-block contamination: genuine outputs are <= 2M
-            out.append(val if 0 <= val <= 2 * big else UNDEFINED)
-        _check_output_width(out, wide=False)
-        results[src] = ExtSeq(out)
+        off, width = 4 * prefix[rank], 2 * sizes[rank] - 1
+        val = cv[off : off + width] - (rank + 1) ** 2 * 4 * big
+        # cross-block contamination: genuine outputs are <= 2M
+        keep = cd[off : off + width] & (val >= 0) & (val <= 2 * big)
+        results[src] = ExtSeq.from_arrays(val, keep)
     return results

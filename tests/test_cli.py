@@ -129,7 +129,9 @@ def test_bench_n_sweep_near_linear(capsys):
     # n-dominated regime: runtime grows about linearly with n
     from sparsesum.cli import bench_nsweep
 
-    out = bench_nsweep("subsetsum", [150, 300, 600, 1200], Fraction(1, 8), seed=2)
+    out = bench_nsweep(
+        "subsetsum", [150, 300, 600, 1200], Fraction(1, 8), repeat=5, seed=2
+    )
     assert 0.5 <= out["exponent"] <= 1.6, f"slope {out['exponent']}"
     assert len(out["rows"]) == 4
 

@@ -80,7 +80,7 @@ def test_max_geq_min_where_both_defined():
 
 def test_python_bigint_path_matches():
     # An entry above the int64 kernel range sends both engines to the
-    # exact Python-int loop; entries within 2^62 keep every sum 63-bit.
+    # pairs kernel on Python ints; entries within 2^62 keep every sum 63-bit.
     rng = np.random.default_rng(61)
     for trial in range(200):
         A, Bs = (
@@ -108,6 +108,29 @@ def test_extseq_validation():
     assert list(s) == [1, B, 3]
     assert s == ExtSeq([1, B, 3])
     assert s != ExtSeq([1, 2, 3])
+
+
+def test_extseq_array_storage_boundaries():
+    # int64 storage holds entries within +-(2^63 - 1); -2^63 fits int64
+    # but not the 63-bit bound, and wide entries live in object arrays.
+    with pytest.raises(OverflowError):
+        ExtSeq([-(2**63)])
+    for v in (2**63 - 1, -(2**63 - 1)):
+        assert ExtSeq([v, B]).entries == (v, B)
+        assert ExtSeq([v]).negate() == (-v,)
+    wide = ExtSeq([2**100, B, -(2**63)], wide=True)
+    assert wide.negate().entries == (-(2**100), B, 2**63)
+    assert wide.negate().negate().entries == (2**100, B, -(2**63))
+    # an object array whose defined values fit narrows to int64; the
+    # value at an undefined position is ignored
+    values = np.array([5, 2**70, -7], dtype=object)
+    got = ExtSeq.from_arrays(values, np.array([True, False, True]))
+    assert got == ExtSeq([5, B, -7])
+    assert hash(got) == hash(ExtSeq([5, B, -7]))
+    assert got.to_arrays()[0].dtype == np.int64
+    s = ExtSeq([4, B, 2**62, -3])
+    assert s[-1] == s.entries[-1] == -3
+    assert s[1:3] == s.entries[1:3] == (B, 2**62)
 
 
 def test_sentinel_wrap_examples():
