@@ -124,16 +124,11 @@ def sparsify(B, t: int | float, delta: int) -> SparseSet:
     """Sparsification sweep: returns a delta-sparse subset of B that
     (t,delta)-approximates B, in one left-to-right pass (keep the new
     element; if the last three kept fit in a delta-window, drop the
-    middle one)."""
-    elems = _elems_array(B)
-    if elems.size and elems[0] < 0:
-        raise ValueError("sparsify expects non-negative elements")
-    if t is not INFINITY and elems.size and int(elems[-1]) > int(t):
-        raise ValueError(f"element {int(elems[-1])} exceeds the universe bound {t}")
+    middle one). The sweep keeps the first and the last element, so the
+    returned SparseSet rejects a negative element, an element above t and
+    a negative delta with ValidationError (a ValueError)."""
     delta = int(delta)
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return SparseSet(sparsify_sweep(elems, delta), delta=delta, cap=t)
+    return SparseSet(sparsify_sweep(_elems_array(B), delta), delta=delta, cap=t)
 
 
 def shift_down(A: SparseSet, t_new: int) -> SparseSet:

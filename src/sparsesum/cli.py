@@ -329,44 +329,48 @@ def bench_nsweep(
     """Time a solver across instance sizes at fixed eps and fit the
     runtime exponent in n. Uses the sparsity-skipping engine so the
     n-dominated regime is visible (the dense engine's fixed
-    convolution cost would flatten the trend)."""
+    convolution cost would flatten the trend). The points are timed
+    round-robin, `repeat` passes over every n after a discarded warm-up
+    pass, keeping the best time per n, so a burst of load slows one pass
+    rather than every run of one point."""
     engine = ENGINES[engine_name]
     eps = Fraction(eps)
-    rows = []
-    times = []
 
-    def run_one(n: int):
+    def make_fn(n: int):
         rng = np.random.default_rng(seed + n)
         items = tuple(int(x) for x in rng.integers(1, 10**6, size=n))
         t = max(8, sum(items) // 2)
         inst = SubsetSumInstance(items=items, target=t)
         if problem == "subsetsum":
-            fn = lambda: approximate_subset_sum(
+            return lambda: approximate_subset_sum(
                 inst, eps, seed=seed, confidence=confidence, engine=engine
             ).value
-        elif problem == "partition":
+        if problem == "partition":
             from .core import PartitionInstance
 
             pinst = PartitionInstance(items=items)
-            fn = lambda: approximate_partition(pinst, eps, engine=engine).value
-        else:
-            raise ValueError(f"unknown bench problem {problem!r}")
-        return _time_solve(fn, repeat)
+            return lambda: approximate_partition(pinst, eps, engine=engine).value
+        raise ValueError(f"unknown bench problem {problem!r}")
 
-    run_one(min(n_list))  # discarded warm-up
-    for n in n_list:
-        elapsed, value = run_one(n)
-        rows.append(
-            {
-                "problem": problem,
-                "eps": float(eps),
-                "L": "",
-                "seed": seed,
-                "elapsed_ms": round(elapsed, 3),
-                "value": value,
-            }
-        )
-        times.append(elapsed)
+    fns = [make_fn(n) for n in n_list]
+    times = [float("inf")] * len(fns)
+    values = [0] * len(fns)
+    for rep in range(repeat + 1):
+        for i, fn in enumerate(fns):
+            elapsed, values[i] = _time_solve(fn, 1)
+            if rep:
+                times[i] = min(times[i], elapsed)
+    rows = [
+        {
+            "problem": problem,
+            "eps": float(eps),
+            "L": "",
+            "seed": seed,
+            "elapsed_ms": round(elapsed, 3),
+            "value": value,
+        }
+        for elapsed, value in zip(times, values)
+    ]
     return {"rows": rows, "exponent": fit_exponent(list(n_list), times)}
 
 

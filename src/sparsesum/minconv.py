@@ -17,15 +17,17 @@ signature can be plugged into the sumset routines instead. For engines
 that cannot represent UNDEFINED natively, sentinel_wrap/sentinel_unwrap
 map it to a large finite value and classify it back.
 
-An ExtSeq is a value array plus a defined mask: int64 values when every
-entry fits, an object array of Python ints otherwise. Both engines run
-their int64 kernels while every entry lies within VAL_LIMIT = 2^59; above
-it they run the same pairs kernel on object arrays, which is exact.
+An ExtSeq is an int64 value array plus a defined mask; a defined entry
+beyond +-(2^63 - 1) raises OverflowError. Both engines run their int64
+kernels while every entry lies within VAL_LIMIT = 2^59; above it they run
+the same pairs kernel on transient object arrays of Python ints, which is
+exact, and narrow the result back to int64.
 
 batch_min_conv packs many square instances into a single engine call:
 instance r (1-based, sizes sorted non-increasing, prefix sums s_r) is
 embedded at offset 2*s_r with its entries shifted by r^2*2M, and the
-packed output decomposes as C[4*s_r + k] = r^2*4M + C_r[k].
+packed output decomposes as C[4*s_r + k] = r^2*4M + C_r[k]. The shifts
+cost O(log m) bits, so the packing stays in int64 while (4m^2+2)*M does.
 """
 
 from __future__ import annotations
@@ -39,66 +41,47 @@ from .core import INT63_MAX
 
 UNDEFINED = None
 
-_WIDE_MAX = 2**127
 
-_to_int = np.frompyfunc(int, 1, 1)
-
-
-def _stored(values: np.ndarray, defined: np.ndarray, wide: bool) -> np.ndarray:
-    """The values with undefined positions zeroed: int64 when every entry
-    lies within +-(2^63 - 1), else an object array of Python ints. Raises
-    OverflowError for an entry beyond 63 bits (127 bits when wide)."""
+def _stored(values: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """The values as int64 with undefined positions zeroed. Raises
+    OverflowError for a defined entry beyond +-(2^63 - 1)."""
     values = np.where(defined, values, 0)
     try:
         narrow = values.astype(np.int64, copy=False)
     except OverflowError:  # an object array holding an entry beyond int64
         narrow = None
-    if narrow is not None and narrow.min(initial=0) > -INT63_MAX - 1:
+    if narrow is not None and narrow.min(initial=0) >= -INT63_MAX:
         return narrow
-    values = _to_int(values)
-    over = np.abs(values) > (_WIDE_MAX if wide else INT63_MAX)
-    if over.any():
-        raise OverflowError(
-            f"entry {values[over][0]} exceeds the {'127' if wide else '63'}-bit bound"
-        )
-    return values
+    bad = next(v for v in values.tolist() if abs(v) > INT63_MAX)
+    raise OverflowError(f"entry {bad} exceeds the 63-bit bound")
 
 
 class ExtSeq:
-    """Immutable sequence over (int | UNDEFINED), stored as a value array
-    and a defined mask; undefined positions hold 0.
+    """Immutable sequence over (int | UNDEFINED), stored as an int64 value
+    array and a defined mask; undefined positions hold 0. Defined entries
+    must fit in 63 bits."""
 
-    Defined entries must fit in 63 bits; internal callers (the packing
-    lemma) may pass wide=True to allow up to 127 bits, matching the
-    wider intermediate budget there.
-    """
+    __slots__ = ("_values", "_defined")
 
-    __slots__ = ("_values", "_defined", "wide")
-
-    def __init__(self, entries: Iterable, *, wide: bool = False):
+    def __init__(self, entries: Iterable):
         values = np.array(list(entries), dtype=object)
-        self._init(values, np.not_equal(values, UNDEFINED), wide)
+        self._init(values, np.not_equal(values, UNDEFINED))
 
-    def _init(self, values, defined, wide: bool) -> None:
+    def _init(self, values, defined) -> None:
         defined = np.ascontiguousarray(defined, dtype=np.bool_)
         if values.shape != defined.shape or values.ndim != 1:
             raise ValueError("values and defined must be equal-length 1-D arrays")
-        self._values = _stored(values, defined, wide)
+        self._values = _stored(values, defined)
         self._defined = defined
-        self.wide = wide
-
-    @classmethod
-    def _of(cls, values: np.ndarray, defined: np.ndarray, wide: bool) -> "ExtSeq":
-        seq = cls.__new__(cls)
-        seq._init(np.asarray(values), defined, wide)
-        return seq
 
     @classmethod
     def from_arrays(cls, values: np.ndarray, defined: np.ndarray) -> "ExtSeq":
         """Build from a value array and a defined mask; undefined
         positions' values are ignored. Object arrays of Python ints are
-        narrowed to int64 when every defined entry fits."""
-        return cls._of(values, defined, wide=False)
+        narrowed to int64."""
+        seq = cls.__new__(cls)
+        seq._init(np.asarray(values), defined)
+        return seq
 
     @property
     def entries(self) -> tuple:
@@ -139,7 +122,7 @@ class ExtSeq:
         return f"ExtSeq([{shown}{tail}])"
 
     def negate(self) -> "ExtSeq":
-        return ExtSeq._of(-self._values, self._defined, self.wide)
+        return ExtSeq.from_arrays(-self._values, self._defined)
 
 
 def as_extseq(seq) -> ExtSeq:
@@ -156,9 +139,10 @@ def _pairs_conv(av, ad, bv, bd) -> tuple[np.ndarray, np.ndarray]:
 class ConvEngine:
     """Callable (min,+)-convolution engine with an array fast path.
 
-    conv_masked(values_a, defined_a, values_b, defined_b) is the int64
-    fast path used internally by the sumset routines; __call__ is the
-    public ExtSeq interface.
+    __call__ is the public ExtSeq interface. It is the only caller of
+    conv_masked(values_a, defined_a, values_b, defined_b), the int64
+    kernel call for entries within VAL_LIMIT; that stays a separate
+    method so that a tracer can patch the kernel call by name.
     """
 
     def __init__(self, name: str, dense: bool):
@@ -186,8 +170,7 @@ class ConvEngine:
         bv, bd = B.to_arrays()
         if A.max_abs <= _kernels.VAL_LIMIT and B.max_abs <= _kernels.VAL_LIMIT:
             return ExtSeq.from_arrays(*self.conv_masked(av, ad, bv, bd))
-        cv, cd = _pairs_conv(av.astype(object), ad, bv.astype(object), bd)
-        return ExtSeq._of(cv, cd, A.wide or B.wide)
+        return ExtSeq.from_arrays(*_pairs_conv(av.astype(object), ad, bv.astype(object), bd))
 
 
 min_conv = ConvEngine("pairs", dense=False)
@@ -243,9 +226,6 @@ def sentinel_unwrap(seq: Sequence[int], M: int) -> ExtSeq:
     return ExtSeq(out)
 
 
-_BATCH_BUDGET = 2**126
-
-
 def batch_min_conv(instances, engine=None) -> list[ExtSeq]:
     """Solve many square (min,+)-convolution instances with one engine call.
 
@@ -260,7 +240,8 @@ def batch_min_conv(instances, engine=None) -> list[ExtSeq]:
     combined output satisfies C[4*s_r + k] = r^2*4M + C_r[k]; an
     unshifted value above 2M cannot come from block r's own pairs (those
     are bounded by 2M, while cross-block pairs exceed the shift by more
-    than 4M), so it is classified back to UNDEFINED.
+    than 4M), so it is classified back to UNDEFINED. The largest packed
+    pair sum is (4m^2+2)*M; above 2^63 - 1 this raises OverflowError.
     """
     engine = engine or min_conv
     pairs = [(as_extseq(a), as_extseq(b)) for a, b in instances]
@@ -276,11 +257,9 @@ def batch_min_conv(instances, engine=None) -> list[ExtSeq]:
                 raise ValueError(f"packing requires entries in [0, M], got {values.min()}")
             big = max(big, int(values.max(initial=0)))
     m = len(pairs)
-    shift_top = m * m * 4 * big
-    if shift_top >= _BATCH_BUDGET:
-        raise OverflowError(
-            f"m^2*4M = {shift_top} exceeds the 128-bit intermediate budget"
-        )
+    top = (4 * m * m + 2) * big
+    if top > INT63_MAX:
+        raise OverflowError(f"the largest packed sum (4m^2+2)*M = {top} exceeds 63 bits")
 
     order = sorted(range(m), key=lambda r: -len(pairs[r][0]))
     sizes = [len(pairs[r][0]) for r in order]
@@ -289,17 +268,16 @@ def batch_min_conv(instances, engine=None) -> list[ExtSeq]:
 
     packed = []
     for side in (0, 1):
-        values = np.zeros(4 * total, dtype=object)
+        values = np.zeros(4 * total, dtype=np.int64)
         defined = np.zeros(4 * total, dtype=np.bool_)
         for rank, src in enumerate(order):
             off, nr = 2 * prefix[rank], sizes[rank]
             v, d = pairs[src][side].to_arrays()
-            values[off : off + nr] = v.astype(object) + (rank + 1) ** 2 * 2 * big
+            values[off : off + nr] = v + (rank + 1) ** 2 * 2 * big
             defined[off : off + nr] = d
-        packed.append(ExtSeq._of(values, defined, wide=True))
+        packed.append(ExtSeq.from_arrays(values, defined))
 
     cv, cd = engine(*packed).to_arrays()
-    cv = cv.astype(object)
 
     results: list[ExtSeq | None] = [None] * m
     for rank, src in enumerate(order):

@@ -106,8 +106,7 @@ class GreedyTrace:
 
 @dataclass
 class FoldStep:
-    part: list  # item values in this color class
-    zset: SparseSet  # sparsify(part ∪ {0})
+    zset: SparseSet  # sparsify(the color class's items ∪ {0})
     acc: SparseSet  # accumulated capped sumset after this class
 
 
@@ -120,7 +119,6 @@ class RoundTrace:
 @dataclass
 class ColorCodingTrace:
     kind = "colorcoding"
-    items: list
     rounds: list
     result: SparseSet
 
@@ -128,10 +126,6 @@ class ColorCodingTrace:
 @dataclass
 class SplitTrace:
     kind = "split"
-    t: int
-    items_large: list
-    items_half1: list
-    items_half2: list
     large: ColorCodingTrace
     child1: "TraceNode"
     child2: "TraceNode"
@@ -206,7 +200,7 @@ def color_coding(
             )
     if not X:
         z = zero_set(delta, t)
-        return z, ColorCodingTrace(items=[], rounds=[], result=z)
+        return z, ColorCodingTrace(rounds=[], result=z)
 
     n_rounds = max(1, params.confidence * clog2(max(1, ceil_div(len(X) * t, delta))))
     zero = zero_set(delta, t)
@@ -220,15 +214,14 @@ def color_coding(
         acc = zero
         steps: list[FoldStep] = []
         for cid in sorted(groups):
-            part = groups[cid]
-            z = sparsify(np.asarray(sorted(set(part) | {0}), dtype=np.int64), t, delta)
+            z = sparsify(np.asarray(sorted({0, *groups[cid]}), dtype=np.int64), t, delta)
             acc = capped_sumset(acc, z, t, delta, engine=engine)
-            steps.append(FoldStep(part=part, zset=z, acc=acc))
+            steps.append(FoldStep(zset=z, acc=acc))
         rounds.append(RoundTrace(steps=steps, final=acc))
 
     union = np.unique(np.concatenate([rt.final.elems for rt in rounds]))
     result = sparsify(union, t, delta)
-    return result, ColorCodingTrace(items=X, rounds=rounds, result=result)
+    return result, ColorCodingTrace(rounds=rounds, result=result)
 
 
 def recursive_splitting(
@@ -280,18 +273,9 @@ def recursive_splitting(
     a2, tr2 = recursive_splitting(half2, t_next, delta, params, path + (3,), engine, _depth + 1)
     a_small = capped_sumset(a1, a2, t, delta, engine=engine)
     result = capped_sumset(a_large, a_small, t, delta, engine=engine)
-    trace = SplitTrace(
-        t=t,
-        items_large=items_large,
-        items_half1=half1,
-        items_half2=half2,
-        large=cc_trace,
-        child1=tr1,
-        child2=tr2,
-        a_small=a_small,
-        result=result,
+    return result, SplitTrace(
+        large=cc_trace, child1=tr1, child2=tr2, a_small=a_small, result=result
     )
-    return result, trace
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,18 @@ def test_sparsify_examples():
     assert sparsify([0, 1, 2], 10, 5).to_list() == [0, 2]
 
 
+def test_sparsify_rejects_bad_input():
+    # the sweep keeps the first and the last element, so the returned
+    # set's own validation rejects each of these
+    for elems, t, delta in (
+        ([-1, 0, 1, 2, 3], 10, 2),  # negative element
+        ([0, 1, 2, 3, 11], 10, 2),  # element above t
+        ([0, 1, 2, 3], 10, -1),  # negative delta
+    ):
+        with pytest.raises(ValueError):
+            sparsify(elems, t, delta)
+
+
 def test_sparsify_properties_randomized():
     rng = np.random.default_rng(42)
     for trial in range(500):

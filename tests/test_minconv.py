@@ -103,7 +103,6 @@ def test_extseq_validation():
     with pytest.raises(OverflowError):
         ExtSeq([2**63])
     ExtSeq([2**63 - 1])  # boundary ok
-    ExtSeq([2**70], wide=True)  # internal wide sequences allow up to 127 bits
     s = ExtSeq([1, B, 3])
     assert list(s) == [1, B, 3]
     assert s == ExtSeq([1, B, 3])
@@ -112,15 +111,12 @@ def test_extseq_validation():
 
 def test_extseq_array_storage_boundaries():
     # int64 storage holds entries within +-(2^63 - 1); -2^63 fits int64
-    # but not the 63-bit bound, and wide entries live in object arrays.
+    # but not the 63-bit bound.
     with pytest.raises(OverflowError):
         ExtSeq([-(2**63)])
     for v in (2**63 - 1, -(2**63 - 1)):
         assert ExtSeq([v, B]).entries == (v, B)
         assert ExtSeq([v]).negate() == (-v,)
-    wide = ExtSeq([2**100, B, -(2**63)], wide=True)
-    assert wide.negate().entries == (-(2**100), B, 2**63)
-    assert wide.negate().negate().entries == (2**100, B, -(2**63))
     # an object array whose defined values fit narrows to int64; the
     # value at an undefined position is ignored
     values = np.array([5, 2**70, -7], dtype=object)
@@ -181,10 +177,10 @@ def test_batch_matches_per_instance_randomized():
 
 
 def test_batch_wide_shift_takes_bigint_path():
-    # shifted entries exceed the int64-safe kernel range, forcing the
-    # exact Python path inside the packed call; per-instance calls stay
-    # on the kernel path, and the two must agree
-    big = 2**58
+    # shifted entries (up to 19*2^55) exceed the int64-safe kernel range,
+    # forcing the exact Python path inside the packed call; per-instance
+    # calls stay on the kernel path, and the two must agree
+    big = 2**55
     instances = [
         (seq(big, 0), seq(0, big)),
         (seq(big - 5, B), seq(3, big)),
@@ -200,6 +196,18 @@ def test_batch_rejects_bad_input():
         batch_min_conv([(seq(1, 2), seq(1))])  # not square
     with pytest.raises(ValueError):
         batch_min_conv([(seq(-1), seq(1))])  # negative entry
-    wide = ExtSeq([2**120], wide=True)
     with pytest.raises(OverflowError):
-        batch_min_conv([(wide, wide)] * 4)  # m^2*4M breaches the 128-bit budget
+        # (4m^2+2)*M = 38*2^58 leaves int64
+        batch_min_conv([(seq(2**58, 0), seq(0, 2**58))] * 3)
+
+
+def test_batch_int64_bound_is_exact():
+    # three instances pack while (4m^2+2)*M = 38*M fits in 63 bits
+    big = (2**63 - 1) // 38
+    instances = [(seq(big, B), seq(0, big - 1)), (seq(1), seq(big)), (seq(B), seq(2))]
+    got = batch_min_conv(instances)
+    for r, (a, b) in enumerate(instances):
+        assert got[r] == min_conv(a, b), f"instance {r}"
+    instances[1] = (seq(1), seq(big + 1))
+    with pytest.raises(OverflowError):
+        batch_min_conv(instances)
