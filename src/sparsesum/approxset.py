@@ -33,11 +33,13 @@ unfold, switches to exact Python ints.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from ._kernels import sparsify_sweep
-from .core import INFINITY, INT63_MAX, SparseSet
+from .core import INFINITY, INT63_MAX, SparseSet, _as_int64_array
 from .minconv import ConvEngine, ExtSeq, max_conv, min_conv
 
 
@@ -51,7 +53,7 @@ def _elems_array(A) -> np.ndarray:
         and (A[1:] > A[:-1]).all()
     ):
         return A
-    return np.unique(np.asarray(list(A), dtype=np.int64))
+    return np.unique(_as_int64_array(list(A)))
 
 
 def zero_set(delta: int, cap: int | float) -> SparseSet:
@@ -159,6 +161,32 @@ def first_split(target: int, left: np.ndarray, right: np.ndarray) -> int | None:
     j = np.minimum(np.searchsorted(right, rest), right.size - 1)
     hits = np.flatnonzero(right[j] == rest)
     return int(cand[hits[0]]) if hits.size else None
+
+
+@dataclass
+class SumNode:
+    """A node of a recorded-sumset tree: an inner node's result is
+    contained in its children's results' sumset; a node without
+    children carries whatever its tree's `leaf` payload is."""
+
+    result: SparseSet
+    left: Any = None
+    right: Any = None
+    leaf: Any = None
+
+
+def descend(node, target: int, at_leaf: Callable[[Any, int], list]) -> list:
+    """Certify target down a recorded-sumset tree: at an inner node,
+    split it as a + (target - a) with a the smallest element of the left
+    result that admits a split; at a node without children (a SumNode
+    leaf or any other trace object) return at_leaf(node, target).
+    Witnesses are concatenated left to right."""
+    if getattr(node, "left", None) is None:
+        return at_leaf(node, target)
+    a = first_split(target, node.left.result.elems, node.right.result.elems)
+    if a is None:
+        raise ValueError(f"value {target} is not decomposable; trace corrupted")
+    return descend(node.left, a, at_leaf) + descend(node.right, target - a, at_leaf)
 
 
 def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:

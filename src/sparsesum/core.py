@@ -52,13 +52,21 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _check_int63(value: int, what: str, line: int | None = None) -> int:
+def _check_int63(value, what: str, low: int | None = None) -> int:
+    """value as an int. It must be an int or np.integer that fits in 63
+    bits and, if low is given, is at least low."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} {value!r} is not an integer")
     value = int(value)
     if not (-INT63_MAX - 1 <= value <= INT63_MAX):
-        err = ValidationError(f"{what} {value} does not fit in 63 bits")
-        err.line = line
-        raise err
+        raise ValidationError(f"{what} {value} does not fit in 63 bits")
+    if low is not None and value < low:
+        raise ValidationError(f"{what} {value} must be >= {low}")
     return value
+
+
+def _check_ints(values, what: str, low: int | None = None) -> tuple[int, ...]:
+    return tuple(_check_int63(v, what, low) for v in values)
 
 
 @dataclass(frozen=True)
@@ -69,15 +77,8 @@ class SubsetSumInstance:
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(int(x) for x in self.items))
-        object.__setattr__(self, "target", int(self.target))
-        for x in self.items:
-            _check_int63(x, "item")
-            if x < 1:
-                raise ValidationError(f"item {x} must be >= 1")
-        _check_int63(self.target, "target")
-        if self.target < 1:
-            raise ValidationError(f"target {self.target} must be >= 1")
+        object.__setattr__(self, "items", _check_ints(self.items, "item", low=1))
+        object.__setattr__(self, "target", _check_int63(self.target, "target", low=1))
 
     @property
     def n(self) -> int:
@@ -91,11 +92,7 @@ class PartitionInstance:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(int(x) for x in self.items))
-        for x in self.items:
-            _check_int63(x, "item")
-            if x < 1:
-                raise ValidationError(f"item {x} must be >= 1")
+        object.__setattr__(self, "items", _check_ints(self.items, "item", low=1))
         _check_int63(self.sigma, "sigma (total sum)")
 
     @property
@@ -123,24 +120,12 @@ class KnapsackInstance:
     goal: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        object.__setattr__(self, "budget", int(self.budget))
-        object.__setattr__(self, "goal", int(self.goal))
+        object.__setattr__(self, "weights", _check_ints(self.weights, "weight", low=0))
+        object.__setattr__(self, "values", _check_ints(self.values, "value"))
+        object.__setattr__(self, "budget", _check_int63(self.budget, "budget W", low=1))
+        object.__setattr__(self, "goal", _check_int63(self.goal, "goal V", low=1))
         if len(self.weights) != len(self.values):
             raise ValidationError("weights and values differ in length")
-        for w in self.weights:
-            _check_int63(w, "weight")
-            if w < 0:
-                raise ValidationError(f"weight {w} must be >= 0")
-        for v in self.values:
-            _check_int63(v, "value")
-        _check_int63(self.budget, "budget W")
-        _check_int63(self.goal, "goal V")
-        if self.budget < 1:
-            raise ValidationError(f"budget W={self.budget} must be >= 1")
-        if self.goal < 1:
-            raise ValidationError(f"goal V={self.goal} must be >= 1")
 
     @property
     def n(self) -> int:
@@ -156,8 +141,10 @@ class KnapsackInstance:
 
 
 def _as_int64_array(elems) -> np.ndarray:
-    arr = np.asarray(elems, dtype=np.int64)
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(elems)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValidationError(f"elements must be 63-bit integers, got dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
     arr.flags.writeable = False
     return arr
 
@@ -168,10 +155,11 @@ class SparseSet:
 
     `delta` is the sparsity parameter the set was built for; `cap` is the
     universe bound t (or INFINITY for uncapped sets). The constructor
-    validates strict increase and the cap. Delta-sparsity (at most two
-    elements in any window [x, x+delta]) is the *intended* state and can
-    be checked with is_delta_sparse(); raw convolution collections are
-    only sparse after sparsification, so it is not enforced here.
+    validates an integer dtype, strict increase and the cap.
+    Delta-sparsity (at most two elements in any window [x, x+delta]) is
+    the *intended* state and can be checked with is_delta_sparse(); raw
+    convolution collections are only sparse after sparsification, so it
+    is not enforced here.
     """
 
     elems: np.ndarray
@@ -236,11 +224,9 @@ def is_delta_sparse(elems, delta: int) -> bool:
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """Outcome of an approximate solve.
-
-    The documented contract for `value` is sum-feasibility (value <= t)
-    plus value >= min(OPT, (1-epsilon)*t); deterministic for the
-    partition scheme, with high probability for the subset-sum scheme.
+    """Outcome of an approximate solve: `value` is the sum of the
+    sub-multiset `witness`. The guarantee on `value` is the solver's:
+    see approximate_subset_sum and approximate_partition.
     """
 
     value: int
@@ -249,7 +235,6 @@ class ApproxResult:
     delta: int
     mode: str  # "approx" | "exact-fallback"
     elapsed_ms: float = 0.0
-    guarantee: str = "value >= min(OPT, (1-epsilon)*t)"
 
     def __post_init__(self):
         object.__setattr__(self, "witness", tuple(int(x) for x in self.witness))

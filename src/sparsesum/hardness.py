@@ -29,7 +29,6 @@ import numpy as np
 from .core import INT63_MAX, InvariantError, KnapsackInstance, SubsetSumInstance
 from .subsetsum import approximate_subset_sum, clog2
 
-_REDUCTION_BUDGET = 2**126
 BELLMAN_BUDGET = 2**27  # max DP length W+1: int64 entries, 1 GiB
 
 
@@ -106,8 +105,6 @@ def knapsack_to_gap_instance(inst: KnapsackInstance) -> tuple[list[int], int, Fr
         raise ValueError("reduction requires n >= log2(M) after padding")
     mprime = 4 * n * M
     t = W * mprime - V
-    if t >= _REDUCTION_BUDGET:
-        raise OverflowError(f"t = {t} exceeds the 128-bit reduction budget")
     xs = [w * mprime - v for w, v in zip(weights, values)]
     if t <= 0 or min(xs) <= 0:
         raise InvariantError("the reduction produced a non-positive number")

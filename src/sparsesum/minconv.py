@@ -18,7 +18,8 @@ that cannot represent UNDEFINED natively, sentinel_wrap/sentinel_unwrap
 map it to a large finite value and classify it back.
 
 An ExtSeq is an int64 value array plus a defined mask; a defined entry
-beyond +-(2^63 - 1) raises OverflowError. Both engines run their int64
+that is not an int or np.integer raises TypeError, and one beyond
++-(2^63 - 1) raises OverflowError. Both engines run their int64
 kernels while every entry lies within VAL_LIMIT = 2^59; above it they run
 the same pairs kernel on transient object arrays of Python ints, which is
 exact, and narrow the result back to int64.
@@ -44,8 +45,15 @@ UNDEFINED = None
 
 def _stored(values: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """The values as int64 with undefined positions zeroed. Raises
-    OverflowError for a defined entry beyond +-(2^63 - 1)."""
+    TypeError for a defined entry that is not an int or np.integer and
+    OverflowError for one beyond +-(2^63 - 1)."""
     values = np.where(defined, values, 0)
+    if values.dtype.kind == "O":
+        integral = all(isinstance(v, (int, np.integer)) for v in values.tolist())
+    else:
+        integral = values.dtype.kind in "iu"
+    if not integral:
+        raise TypeError("ExtSeq entries must be int or np.integer values, or UNDEFINED")
     try:
         narrow = values.astype(np.int64, copy=False)
     except OverflowError:  # an object array holding an entry beyond int64

@@ -18,6 +18,12 @@ eps*sigma/4 budget would only give (1-2*eps)*OPT against the provable
 OPT >= sigma/4 bound; halving it makes the delivered guarantee
 (1-eps)*OPT <= sum(Y') <= OPT unconditional.
 
+Both halves are balanced trees of recorded sumsets (approxset.SumNode),
+built by the one function _balanced: a bottom-half leaf holds its item,
+a top-half leaf the index of its part. reconstruct_partition descends
+the top tree, takes at each leaf the first element of the part's set
+that rounds to the leaf's value, and descends that part's bottom tree.
+
 Everything here is deterministic: identical inputs give identical
 outputs byte for byte.
 """
@@ -32,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .approxset import first_split, sparsify, unbounded_sumset
+from .approxset import SumNode, descend, sparsify, unbounded_sumset
 from .core import INFINITY, ApproxResult, InvariantError, PartitionInstance, SparseSet
 from .minconv import min_conv
 
@@ -79,19 +85,27 @@ def greedy_partition_split(X, L: int) -> list[list[int]]:
 # Step 2: bottom half (sparse approximation of each part's subset sums)
 
 
-@dataclass
-class BottomNode:
-    result: SparseSet
-    left: Optional["BottomNode"] = None
-    right: Optional["BottomNode"] = None
-    item: Optional[int] = None  # set on leaves: result = {0, item}
+def _balanced(level: list, combine) -> SumNode:
+    """Balanced binary tree over the nodes in level: adjacent pairs are
+    joined into SumNode(combine(left.result, right.result), left, right),
+    level by level, an odd last node moving up unchanged."""
+    while len(level) > 1:
+        nxt = [
+            SumNode(combine(a.result, b.result), a, b)
+            for a, b in zip(level[0::2], level[1::2])
+        ]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
 
 
-def bottom_half(X_i, delta: int, engine=None) -> tuple[SparseSet, BottomNode]:
+def bottom_half(X_i, delta: int, engine=None) -> tuple[SparseSet, SumNode]:
     """Delta-sparse uncapped approximation of all subset sums of X_i,
     built as a balanced binary tree of approximate sumsets over the
-    singleton sets {0, x}. Deterministic; the output is a subset of
-    S(X_i) and every subset sum has bracketing elements within delta."""
+    singleton sets {0, x}, whose leaves hold their item x. Deterministic;
+    the output is a subset of S(X_i) and every subset sum has bracketing
+    elements within delta."""
     engine = engine or min_conv
     delta = int(delta)
     if delta < 1:
@@ -99,28 +113,21 @@ def bottom_half(X_i, delta: int, engine=None) -> tuple[SparseSet, BottomNode]:
     items = [int(x) for x in X_i]
     if not items:
         empty = SparseSet(np.array([0], dtype=np.int64), delta=delta, cap=INFINITY)
-        return empty, BottomNode(result=empty)
-    level = [
-        BottomNode(
-            result=SparseSet(
-                np.unique(np.array([0, x], dtype=np.int64)), delta=delta, cap=INFINITY
-            ),
-            item=x,
+        return empty, SumNode(empty)
+
+    def combine(a: SparseSet, b: SparseSet) -> SparseSet:
+        raw = unbounded_sumset(a, b, max(a.max(), b.max(), delta), delta, engine=engine)
+        return sparsify(raw.elems, INFINITY, delta)
+
+    leaves = [
+        SumNode(
+            SparseSet(np.unique(np.array([0, x], dtype=np.int64)), delta=delta, cap=INFINITY),
+            leaf=x,
         )
         for x in items
     ]
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            a, b = level[i], level[i + 1]
-            t_eff = max(a.result.max(), b.result.max(), delta)
-            raw = unbounded_sumset(a.result, b.result, t_eff, delta, engine=engine)
-            merged = sparsify(raw.elems, INFINITY, delta)
-            nxt.append(BottomNode(result=merged, left=a, right=b))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0].result, level[0]
+    root = _balanced(leaves, combine)
+    return root.result, root
 
 
 # ---------------------------------------------------------------------------
@@ -179,53 +186,38 @@ def _sumset_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class SumTreeNode:
-    values: np.ndarray
-    left: Optional["SumTreeNode"] = None
-    right: Optional["SumTreeNode"] = None
-    part_index: Optional[int] = None  # set on leaves: index into the input sets
+def _exact_pair(a: SparseSet, b: SparseSet) -> SparseSet:
+    return SparseSet(_sumset_pair(a.elems, b.elems), delta=0, cap=INFINITY)
 
 
-def _sum_tree(sets: list[np.ndarray]) -> Optional[SumTreeNode]:
+def _sum_tree(sets: list[np.ndarray]) -> Optional[SumNode]:
     """Balanced tree of exact pairwise sumsets over the sorted arrays in
-    sets; leaves keep their index into sets. Sets equal to {0} (identity
+    sets; leaves hold their index into sets. Sets equal to {0} (identity
     elements) and empty sets are skipped; None when nothing is left. The
     total length is checked against SUMSET_BUDGET before any sumset is
     built; no node can be longer."""
     leaves = [
-        SumTreeNode(values=z, part_index=i)
+        SumNode(SparseSet(z, delta=0, cap=INFINITY), leaf=i)
         for i, z in enumerate(sets)
         if z.size and not (z.size == 1 and z[0] == 0)
     ]
     if not leaves:
         return None
-    length = sum(int(leaf.values[-1]) for leaf in leaves) + 1
+    length = sum(leaf.result.max() for leaf in leaves) + 1
     if length > SUMSET_BUDGET:
         raise MemoryError(
             f"exact sumset length {length} exceeds SUMSET_BUDGET = {SUMSET_BUDGET}"
         )
-    level = leaves
-    while len(level) > 1:
-        nxt = [
-            SumTreeNode(values=_sumset_pair(a.values, b.values), left=a, right=b)
-            for a, b in zip(level[0::2], level[1::2])
-        ]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    return _balanced(leaves, _exact_pair)
 
 
 def exact_sumset_tree(zsets) -> np.ndarray:
     """Exact sumset Z_1 + ... + Z_L of non-negative integer sets,
     computed pairwise in a balanced tree (FFT-backed above a small
-    cutoff). Sets equal to {0} are identity elements and are skipped."""
-    arrays = [np.unique(np.asarray(list(z), dtype=np.int64)) for z in zsets]
-    if any(arr.size and arr[0] < 0 for arr in arrays):
-        raise ValueError("sumset elements must be non-negative")
-    tree = _sum_tree(arrays)
-    return np.array([0], dtype=np.int64) if tree is None else tree.values
+    cutoff). Sets equal to {0} are identity elements and are skipped; a
+    negative or non-integer element raises ValidationError (a ValueError)."""
+    tree = _sum_tree([np.unique(np.asarray(list(z))) for z in zsets])
+    return np.array([0], dtype=np.int64) if tree is None else tree.result.elems
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +226,11 @@ def exact_sumset_tree(zsets) -> np.ndarray:
 
 @dataclass
 class PartitionTrace:
-    sigma: int
     delta: int
     L: int
     R: int
-    parts: list
-    bottoms: list  # BottomNode per part
-    zsets: list  # SparseSet per part
-    rounded: list  # np.ndarray per part
-    tree: Optional[SumTreeNode]
+    bottoms: list  # bottom-half tree (SumNode) per part; its result is the part's set
+    tree: Optional[SumNode]  # top half over the rounded part sets
     final: np.ndarray  # S = R * (rounded sumset), sorted
     s_best: int  # largest s in S with s <= sigma//2
 
@@ -312,28 +300,17 @@ def approximate_partition(
     R = max(1, delta // L_val)
 
     parts = greedy_partition_split(items, L_val)
-    bottoms: list[BottomNode] = []
-    zsets: list[SparseSet] = []
-    for part in parts:
-        z, node = bottom_half(part, delta, engine=engine)
-        bottoms.append(node)
-        zsets.append(z)
-
-    rounded = [weak_round(z.elems, R) for z in zsets]
-    tree = _sum_tree(rounded)
-    final = np.array([0], dtype=np.int64) if tree is None else R * tree.values
+    bottoms = [bottom_half(part, delta, engine=engine)[1] for part in parts]
+    tree = _sum_tree([weak_round(b.result.elems, R) for b in bottoms])
+    final = np.array([0], dtype=np.int64) if tree is None else R * tree.result.elems
 
     idx = int(np.searchsorted(final, half, side="right")) - 1
     s_best = int(final[idx])
     trace = PartitionTrace(
-        sigma=sigma,
         delta=delta,
         L=L_val,
         R=R,
-        parts=parts,
         bottoms=bottoms,
-        zsets=zsets,
-        rounded=rounded,
         tree=tree,
         final=final,
         s_best=s_best,
@@ -363,36 +340,12 @@ def approximate_partition(
 # Step 4: retracing
 
 
-def _descend_bottom(node: BottomNode, target: int) -> list:
-    if node.left is None:
-        if target == 0:
-            return []
-        if node.item is not None and target == node.item:
-            return [node.item]
-        raise ValueError(f"value {target} not producible at a bottom leaf")
-    a = first_split(target, node.left.result.elems, node.right.result.elems)
-    if a is None:
-        raise ValueError(f"value {target} not decomposable in the bottom tree")
-    return _descend_bottom(node.left, a) + _descend_bottom(node.right, target - a)
-
-
-def _descend_sum_tree(trace: PartitionTrace, node: SumTreeNode, rounded_val: int) -> list:
-    if node.part_index is not None:
-        pi = node.part_index
-        z_elems = trace.zsets[pi].elems
-        lo = int(np.searchsorted(z_elems, rounded_val * trace.R, side="left"))
-        for z in z_elems[lo:]:
-            z = int(z)
-            if z // trace.R != rounded_val:
-                break
-            return _descend_bottom(trace.bottoms[pi], z)
-        raise ValueError(f"no element of part {pi} rounds to {rounded_val}")
-    a = first_split(rounded_val, node.left.values, node.right.values)
-    if a is None:
-        raise ValueError(f"rounded value {rounded_val} not decomposable in the sum tree")
-    return _descend_sum_tree(trace, node.left, a) + _descend_sum_tree(
-        trace, node.right, rounded_val - a
-    )
+def _bottom_leaf(node: SumNode, target: int) -> list:
+    if target == 0:
+        return []
+    if target == node.leaf:
+        return [node.leaf]
+    raise ValueError(f"value {target} not producible at a bottom leaf")
 
 
 def reconstruct_partition(trace: PartitionTrace, s: int) -> list:
@@ -406,4 +359,14 @@ def reconstruct_partition(trace: PartitionTrace, s: int) -> list:
         return []
     if s % trace.R:
         raise InvariantError(f"{s} in the final sumset is not a multiple of R={trace.R}")
-    return _descend_sum_tree(trace, trace.tree, s // trace.R)
+    R = trace.R
+
+    def top_leaf(node: SumNode, rounded_val: int) -> list:
+        # the first element of the part's set that rounds to rounded_val
+        z_elems = trace.bottoms[node.leaf].result.elems
+        i = int(np.searchsorted(z_elems, rounded_val * R, side="left"))
+        if i < z_elems.size and int(z_elems[i]) // R == rounded_val:
+            return descend(trace.bottoms[node.leaf], int(z_elems[i]), _bottom_leaf)
+        raise ValueError(f"no element of part {node.leaf} rounds to {rounded_val}")
+
+    return descend(trace.tree, s // R, top_leaf)

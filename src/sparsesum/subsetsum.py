@@ -18,10 +18,12 @@ keyed by (seed, node path, round), so a run is bit-reproducible and
 same-level recursive calls could execute in parallel without changing
 the result.
 
-The solver records every intermediate sparse set in a trace; witness
-reconstruction walks the trace top-down, splitting each capped-sumset
-value by a linear membership scan, down to greedy prefixes and
-color-class elements.
+The solver records every intermediate sparse set in a trace, a tree of
+recorded sumsets: a split node is SumNode(result, large layer,
+SumNode(a_small, half 1, half 2)), and its leaves are the greedy prefix
+sums and the color-coding rounds. Witness reconstruction is one
+approxset.descend of that tree, down to greedy prefixes and, through
+each round's fold steps, color-class elements.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .approxset import capped_sumset, first_split, sparsify, zero_set
+from .approxset import SumNode, capped_sumset, descend, first_split, sparsify, zero_set
 from .core import ApproxResult, InvariantError, SparseSet, SubsetSumInstance
 from .minconv import min_conv
 
@@ -123,17 +125,8 @@ class ColorCodingTrace:
     result: SparseSet
 
 
-@dataclass
-class SplitTrace:
-    kind = "split"
-    large: ColorCodingTrace
-    child1: "TraceNode"
-    child2: "TraceNode"
-    a_small: SparseSet
-    result: SparseSet
-
-
-TraceNode = Union[GreedyTrace, ColorCodingTrace, SplitTrace]
+# A split node is SumNode(result, large layer, SumNode(a_small, half 1, half 2)).
+TraceNode = Union[GreedyTrace, SumNode]
 
 
 @dataclass
@@ -273,9 +266,7 @@ def recursive_splitting(
     a2, tr2 = recursive_splitting(half2, t_next, delta, params, path + (3,), engine, _depth + 1)
     a_small = capped_sumset(a1, a2, t, delta, engine=engine)
     result = capped_sumset(a_large, a_small, t, delta, engine=engine)
-    return result, SplitTrace(
-        large=cc_trace, child1=tr1, child2=tr2, a_small=a_small, result=result
-    )
+    return result, SumNode(result, cc_trace, SumNode(a_small, tr1, tr2))
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +366,6 @@ def approximate_subset_sum(
     return (result, trace) if return_trace else result
 
 
-def _split_value(target: int, left: SparseSet, right: SparseSet) -> tuple[int, int]:
-    """First (ascending) decomposition target = l + r with l in left,
-    r in right. The capped-sumset inclusion guarantees one exists."""
-    l = first_split(target, left.elems, right.elems)
-    if l is None:
-        raise ValueError(f"value {target} is not decomposable; trace corrupted")
-    return l, target - l
-
-
 def _reconstruct_greedy(node: GreedyTrace, target: int) -> list:
     sums = node.prefix_sums
     i = bisect_left(sums, target)
@@ -421,17 +403,10 @@ def _reconstruct_colorcoding(node: ColorCodingTrace, target: int) -> list:
     raise ValueError(f"{target} not found in any color-coding round")
 
 
-def _reconstruct_node(node: TraceNode, target: int) -> list:
+def _reconstruct_leaf(node, target: int) -> list:
     if isinstance(node, GreedyTrace):
         return _reconstruct_greedy(node, target)
-    if isinstance(node, ColorCodingTrace):
-        return _reconstruct_colorcoding(node, target)
-    l_val, s_val = _split_value(target, node.large.result, node.a_small)
-    v1, v2 = _split_value(s_val, node.child1.result, node.child2.result)
-    out = _reconstruct_colorcoding(node.large, l_val)
-    out += _reconstruct_node(node.child1, v1)
-    out += _reconstruct_node(node.child2, v2)
-    return out
+    return _reconstruct_colorcoding(node, target)
 
 
 def reconstruct(trace, target: int) -> list:
@@ -441,7 +416,7 @@ def reconstruct(trace, target: int) -> list:
     root = trace.root if isinstance(trace, SolveTrace) else trace
     if target not in root.result:
         raise ValueError(f"target {target} not in the solved set")
-    witness = _reconstruct_node(root, target)
+    witness = descend(root, target, _reconstruct_leaf)
     if sum(witness) != target:
         raise InvariantError(f"witness sums to {sum(witness)}, not {target}")
     return witness

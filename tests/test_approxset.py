@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from sparsesum.approxset import (
+    SumNode,
     _grid,
     _interval_entries,
     apx_bounds,
     capped_sumset,
+    descend,
     is_approximation,
     merge_union,
     shift_down,
@@ -65,11 +67,13 @@ def test_sparsify_examples():
 
 def test_sparsify_rejects_bad_input():
     # the sweep keeps the first and the last element, so the returned
-    # set's own validation rejects each of these
+    # set's own validation rejects the first three; a list input is
+    # checked for an integer dtype before the sweep
     for elems, t, delta in (
         ([-1, 0, 1, 2, 3], 10, 2),  # negative element
         ([0, 1, 2, 3, 11], 10, 2),  # element above t
         ([0, 1, 2, 3], 10, -1),  # negative delta
+        ([0, 1.5, 2.7], 10, 2),  # non-integer elements
     ):
         with pytest.raises(ValueError):
             sparsify(elems, t, delta)
@@ -356,3 +360,26 @@ def test_wide_values_python_path():
     full = naive_sumset(a1.to_list(), a2.to_list())
     assert set(out.to_list()) <= set(full)
     assert is_approximation(out, full, INFINITY, delta)
+
+
+def test_descend_takes_smallest_left_split_and_rejects_corrupt_nodes():
+    def leaf(x):
+        return SumNode(sset({0, x}, 0, INFINITY), leaf=x)
+
+    def at_leaf(node, target):
+        if target == 0:
+            return []
+        if target == node.leaf:
+            return [node.leaf]
+        raise ValueError(f"{target} not at leaf {node.leaf}")
+
+    # at the root 5 = 2 + 3 = 5 + 0: the rule takes the smaller left element, 2
+    left = SumNode(sset({0, 2, 5}, 0, INFINITY), leaf(2), leaf(5))
+    root = SumNode(sset({0, 2, 3, 5, 8}, 0, INFINITY), left, leaf(3))
+    assert descend(root, 5, at_leaf) == [2, 3]
+    assert descend(root, 8, at_leaf) == [5, 3]
+    assert descend(root, 0, at_leaf) == []
+    # 4 is in the root's set, but no element of {0, 2, 5} plus one of {0, 3} makes 4
+    corrupt = SumNode(sset({0, 4}, 0, INFINITY), left, leaf(3))
+    with pytest.raises(ValueError):
+        descend(corrupt, 4, at_leaf)

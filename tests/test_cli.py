@@ -6,7 +6,7 @@ import json
 import pytest
 
 from sparsesum.cli import fit_exponent, main, parse_eps, parse_eps_sweep
-from sparsesum.core import load_instance
+from sparsesum.core import KnapsackInstance, load_instance, write_instance
 from fractions import Fraction
 
 
@@ -112,6 +112,21 @@ def test_reduce_writes_loadable_instance(tmp_path, capsys):
     gap = load_instance(dst, "subsetsum")
     assert gap.n == meta["n"] and gap.target == meta["t"]
     assert meta["eps"] == "1/8"  # 1/(2W) with W = 4
+
+
+def test_reduce_rejects_a_target_beyond_63_bits(tmp_path, capsys):
+    # the reduced target of this instance has 65 bits
+    inst = KnapsackInstance(
+        weights=tuple(range(1, 61)), values=(2**50,) + (1,) * 59, budget=64, goal=2**50
+    )
+    src = tmp_path / "k.txt"
+    write_instance(inst, src)
+    dst = tmp_path / "gap.txt"
+    code, out, err = run(capsys, "reduce", "knapsack-to-gap", "--input", str(src),
+                         "--output", str(dst))
+    assert code == 1
+    assert err.startswith("error:") and "63 bits" in err
+    assert not dst.exists()
 
 
 def test_bench_small_sweep_csv(tmp_path, capsys):

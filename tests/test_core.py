@@ -99,6 +99,34 @@ def test_validation_63_bit_bound():
     SubsetSumInstance(items=(2**63 - 1,), target=2**63 - 1)
 
 
+def test_subsetsum_instance_rejects_non_integers():
+    with pytest.raises(ValidationError):
+        SubsetSumInstance(items=(1.7, 2), target=4)
+    with pytest.raises(ValidationError):
+        SubsetSumInstance(items=(1, 2), target=3.9)
+    with pytest.raises(ValidationError):
+        SubsetSumInstance(items=("3",), target=4)
+    inst = SubsetSumInstance(items=(np.int64(1), np.int32(2)), target=np.uint8(3))
+    assert inst.items == (1, 2) and inst.target == 3
+    assert all(type(x) is int for x in (*inst.items, inst.target))
+
+
+def test_partition_instance_rejects_non_integers():
+    with pytest.raises(ValidationError):
+        PartitionInstance(items=(2.5, 2.5))
+    with pytest.raises(ValidationError):
+        PartitionInstance(items=(2, 2.0))
+    assert PartitionInstance(items=np.array([2, 3])).items == (2, 3)
+
+
+def test_knapsack_instance_rejects_non_integers():
+    good = dict(weights=(1, 2), values=(3, 4), budget=3, goal=5)
+    KnapsackInstance(**good)
+    for key, bad in (("weights", (1.5, 2)), ("values", (3, 4.2)), ("budget", 3.0), ("goal", 4.5)):
+        with pytest.raises(ValidationError):
+            KnapsackInstance(**{**good, key: bad})
+
+
 def test_bruteforce_examples():
     assert subset_sums_bruteforce([2, 3, 5], 7) == [0, 2, 3, 5, 7]
     assert subset_sums_bruteforce([], 5) == [0]
@@ -149,6 +177,17 @@ def test_sparseset_invariants():
     SparseSet(np.array([0, 10**12]), delta=1, cap=INFINITY)
     assert not is_delta_sparse([0, 1, 2], 2)
     assert is_delta_sparse([0, 1, 2], 1)
+
+
+def test_sparseset_rejects_non_integer_dtype():
+    with pytest.raises(ValidationError):
+        SparseSet([1.5, 2.7], delta=1, cap=10)
+    with pytest.raises(ValidationError):
+        SparseSet(np.array([1.0, 2.0]), delta=1, cap=10)
+    with pytest.raises(ValidationError):
+        SparseSet(np.array([True]), delta=1, cap=10)
+    assert SparseSet(np.array([1, 2], dtype=np.uint32), delta=1, cap=10).elems.dtype == np.int64
+    assert len(SparseSet([], delta=1, cap=10)) == 0
 
 
 def test_approx_result_checks_witness_sum():

@@ -109,6 +109,18 @@ def test_extseq_validation():
     assert s != ExtSeq([1, 2, 3])
 
 
+def test_extseq_rejects_non_integers():
+    with pytest.raises(TypeError):
+        ExtSeq([1.7, 2.5])
+    with pytest.raises(TypeError):
+        ExtSeq([1, B, 2.0])
+    with pytest.raises(TypeError):
+        ExtSeq.from_arrays(np.array([0.5, 1.0]), np.array([True, False]))
+    with pytest.raises(TypeError):
+        min_conv([0.9], [0.9])
+    assert ExtSeq([np.int64(4), B, 5]) == ExtSeq([4, B, 5])
+
+
 def test_extseq_array_storage_boundaries():
     # int64 storage holds entries within +-(2^63 - 1); -2^63 fits int64
     # but not the 63-bit bound.

@@ -75,6 +75,8 @@ def test_exact_sumset_tree_examples():
     assert exact_sumset_tree([]).tolist() == [0]
     with pytest.raises(ValueError):
         exact_sumset_tree([[-1, 2]])
+    with pytest.raises(ValueError):
+        exact_sumset_tree([[0, 2.5]])
 
 
 def test_exact_sumset_tree_matches_iterated_naive():

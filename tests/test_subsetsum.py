@@ -6,7 +6,7 @@ import pytest
 from collections import Counter
 from fractions import Fraction
 
-from sparsesum.approxset import is_approximation
+from sparsesum.approxset import SumNode, is_approximation
 from sparsesum.core import InvariantError, SubsetSumInstance, subset_sums_bruteforce
 from sparsesum.subsetsum import (
     SchemeParams,
@@ -235,6 +235,32 @@ def test_reconstruct_rejects_unknown_target():
     res, trace = approximate_subset_sum(inst, 0.2, seed=0, return_trace=True)
     with pytest.raises(ValueError):
         reconstruct(trace, 97)
+
+
+def _split_depth(node) -> int:
+    # a split node is SumNode(result, large layer, SumNode(a_small, half 1, half 2))
+    if not isinstance(node, SumNode):
+        return 0
+    return 1 + max(_split_depth(node.right.left), _split_depth(node.right.right))
+
+
+def test_reconstruction_through_deep_splits():
+    # with k = 8 (the default k makes every non-greedy item large) items
+    # below t/8 are halved and recursed on, several levels deep
+    rng = np.random.default_rng(91)
+    t = 2**20
+    delta = t // 256
+    for trial in range(4):
+        params = SchemeParams(confidence=1, k=8, eta=Fraction(1, 16), seed=trial)
+        items = [int(x) for x in rng.integers(delta // 2, t // 6, size=16)]
+        aset, root = recursive_splitting(items, t, delta, params)
+        assert _split_depth(root) >= 3, f"trial {trial}"
+        reach = subset_sums_bitset(items, t)
+        for v in aset:
+            w = reconstruct(root, v)
+            assert sum(w) == v, f"trial {trial} value {v}"
+            assert not (Counter(w) - Counter(items)), f"trial {trial} value {v}"
+            assert (reach >> v) & 1, f"trial {trial}: {v} is not a real subset sum"
 
 
 class RecordingEngine:
