@@ -12,6 +12,11 @@ Exit codes: 0 success, 1 solve/verify/runtime failure, 2 usage error.
 JSON goes to stdout with --json; benches emit CSV rows
 `problem,eps,L,seed,elapsed_ms,value` (for minconv rows the eps column
 carries the sequence length).
+
+`solve`, `verify` and `bench` reach the schemes through one call,
+`_approx`. Every bench sweep is timed by one loop, `_sweep`: a discarded
+warm-up call at the cheapest point, then `--repeat` (>= 1) round-robin
+passes over at least two distinct points, keeping each point's best time.
 """
 
 from __future__ import annotations
@@ -27,14 +32,16 @@ import numpy as np
 from .core import (
     InvariantError,
     ParseError,
+    PartitionInstance,
     SubsetSumInstance,
     ValidationError,
+    dump_instance,
     load_instance,
     write_instance,
 )
 from .hardness import bellman_knapsack, gap_subset_sum, knapsack_to_gap_instance, solve_knapsack_via_gap
 from .minconv import ExtSeq, min_conv, min_conv_dense
-from .partition import approximate_partition
+from .partition import _pick_L, approximate_partition
 from .subsetsum import approximate_subset_sum
 from .testkit import bruteforce_opt, gen_instance, verify_guarantee
 
@@ -101,14 +108,21 @@ def _cmd_gen(args) -> int:
         write_instance(inst, args.out)
         print(f"wrote {args.kind} instance (n={inst.n}, seed={args.seed}) to {args.out}")
     else:
-        from .core import dump_instance
-
         sys.stdout.write(dump_instance(inst))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # solve
+
+
+def _approx(problem: str, inst, eps, seed: int, confidence: int, engine, L):
+    """Run the scheme of `problem` on inst: the CLI's one call into the
+    solvers. SubsetSum is randomized (seed, confidence); Partition is
+    deterministic and takes L. engine=None is the solvers' default."""
+    if problem == "partition":
+        return approximate_partition(inst, eps, L=L, engine=engine)
+    return approximate_subset_sum(inst, eps, seed=seed, confidence=confidence, engine=engine)
 
 
 def _print_result(result, as_json: bool) -> None:
@@ -124,26 +138,12 @@ def _print_result(result, as_json: bool) -> None:
 
 
 def _cmd_solve(args) -> int:
-    if args.problem == "subsetsum":
-        inst = load_instance(args.input, "subsetsum")
-        result = approximate_subset_sum(
-            inst,
-            parse_eps(args.eps),
-            seed=args.seed,
-            confidence=args.confidence,
-            engine=ENGINES[args.engine],
-        )
+    inst = load_instance(args.input, args.problem)
+    if args.problem != "knapsack":
+        eps, engine = parse_eps(args.eps), ENGINES[args.engine]
+        result = _approx(args.problem, inst, eps, args.seed, args.confidence, engine, args.L)
         _print_result(result, args.json)
         return 0
-    if args.problem == "partition":
-        inst = load_instance(args.input, "partition")
-        result = approximate_partition(
-            inst, parse_eps(args.eps), L=args.L, engine=ENGINES[args.engine]
-        )
-        _print_result(result, args.json)
-        return 0
-    # knapsack
-    inst = load_instance(args.input, "knapsack")
     start = time.perf_counter()
     if args.via == "dp":
         opt, decision = bellman_knapsack(inst)
@@ -172,8 +172,6 @@ def _cmd_reduce(args) -> int:
     gap_inst = SubsetSumInstance(items=tuple(xs), target=t)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(f"# gap-subset-sum instance, eps = {eps}\n")
-        from .core import dump_instance
-
         fh.write(dump_instance(gap_inst))
     meta = {"n": len(xs), "t": t, "eps": str(eps), "output": str(args.output)}
     print(json.dumps(meta))
@@ -200,10 +198,7 @@ def _cmd_verify(args) -> int:
     seeds = list(range(args.seed, args.seed + args.trials))
 
     def one(seed: int):
-        if args.problem == "partition":
-            res = approximate_partition(inst, eps)
-        else:
-            res = approximate_subset_sum(inst, eps, seed=seed, confidence=args.confidence)
+        res = _approx(args.problem, inst, eps, seed, args.confidence, None, None)
         return seed, verify_guarantee(inst, res, eps, opt)
 
     reports = [one(s) for s in seeds]
@@ -227,33 +222,52 @@ def _cmd_verify(args) -> int:
 # bench
 
 
-def _bench_subsetsum_instance(n: int, seed: int) -> SubsetSumInstance:
-    t = 1 << 26
-    rng = np.random.default_rng(seed)
-    items = tuple(int(x) for x in rng.integers(t // 4, t + 1, size=n))
-    return SubsetSumInstance(items=items, target=t)
+def _items(seed: int, n: int, lo: int, hi: int) -> tuple:
+    """n integers drawn uniformly from [lo, hi) by default_rng(seed)."""
+    return tuple(int(x) for x in np.random.default_rng(seed).integers(lo, hi, size=n))
 
 
-def _bench_partition_instance(n: int, seed: int):
-    from .core import PartitionInstance
+def _nsweep_instance(problem: str, n: int, eps, seed: int):
+    """The instance of size n that bench_nsweep times. SubsetSum fixes
+    t = 2^26 and draws every item from (delta, t], delta being the
+    solver's floor(min(eps*t, t/8)), so no solve is the greedy base case:
+    each runs color coding on the large layer."""
+    if problem == "subsetsum":
+        t = 1 << 26
+        delta = int(min(Fraction(eps) * t, Fraction(t, 8)))
+        return SubsetSumInstance(items=_items(seed + n, n, delta + 1, t + 1), target=t)
+    if problem == "partition":
+        return PartitionInstance(items=_items(seed + n, n, 1, 10**6))
+    raise ValueError(f"unknown bench problem {problem!r}")
 
-    rng = np.random.default_rng(seed)
-    items = tuple(int(x) for x in rng.integers(1, (1 << 24) + 1, size=n))
-    return PartitionInstance(items=items)
 
-
-def _time_solve(fn, repeat: int) -> tuple[float, int]:
-    """Monotonic-clock timing, best of `repeat` runs. The sweep drivers
-    discard a separate warm-up run first; file I/O happens outside."""
-    best = float("inf")
-    value = 0
+def _sweep(problem: str, points, make_fn, repeat: int, seed: int) -> dict:
+    """The one timing loop of every bench sweep. make_fn(point) returns
+    (fn, x, eps_col, L_col): fn() makes one timed call and returns the
+    row's value; x is the point's abscissa for the fitted exponent. One
+    discarded warm-up call at the cheapest point (smallest x) comes first;
+    then `repeat` round-robin passes keep each point's best time, so a
+    burst of load slows one pass rather than every run of one point.
+    Returns {"rows": [...] in point order, "exponent": float}."""
+    if repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {repeat}")
+    made = [make_fn(p) for p in points]
+    xs = [x for _, x, _, _ in made]
+    if len(set(xs)) < 2:
+        raise ValueError(f"a sweep needs at least two distinct points, got {list(points)}")
+    made[xs.index(min(xs))][0]()  # discarded warm-up
+    best = [float("inf")] * len(made)
+    values = [None] * len(made)
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        res = fn()
-        dt = (time.perf_counter() - t0) * 1e3
-        best = min(best, dt)
-        value = res
-    return best, value
+        for i, (fn, *_) in enumerate(made):
+            t0 = time.perf_counter()
+            values[i] = fn()
+            best[i] = min(best[i], (time.perf_counter() - t0) * 1e3)
+    rows = [
+        dict(problem=problem, eps=eps_col, L=L_col, seed=seed, elapsed_ms=round(ms, 3), value=value)
+        for (_, _, eps_col, L_col), ms, value in zip(made, best, values)
+    ]
+    return {"rows": rows, "exponent": fit_exponent(xs, best)}
 
 
 def bench_scaling(
@@ -275,46 +289,22 @@ def bench_scaling(
     it multiplies round counts uniformly and cannot move the exponent.
     """
     engine = ENGINES[engine_name]
-    rows = []
-    times = []
-    inv_eps = []
+    if problem == "subsetsum":
+        t = 1 << 26
+        inst = SubsetSumInstance(items=_items(seed, n or 4, t // 4, t + 1), target=t)
+    elif problem == "partition":
+        inst = PartitionInstance(items=_items(seed, n or 32, 1, (1 << 24) + 1))
+    else:
+        raise ValueError(f"unknown bench problem {problem!r}")
 
-    def run_one(eps: Fraction):
-        if problem == "subsetsum":
-            inst = _bench_subsetsum_instance(n or 4, seed)
-            fn = lambda: approximate_subset_sum(
-                inst, eps, seed=seed, confidence=confidence, engine=engine
-            ).value
-            L_col = ""
-        elif problem == "partition":
-            inst = _bench_partition_instance(n or 32, seed)
-            fn = lambda: approximate_partition(inst, eps, L=L, engine=engine).value
-            from .partition import _pick_L
+    def make_fn(eps: Fraction):
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        fn = lambda: _approx(problem, inst, eps, seed, confidence, engine, L).value
+        L_col = "" if problem == "subsetsum" else L if L is not None else _pick_L(eps, inst.sigma)
+        return fn, float(1 / eps), float(eps), L_col
 
-            L_col = L if L is not None else _pick_L(eps, inst.sigma)
-        else:
-            raise ValueError(f"unknown bench problem {problem!r}")
-        elapsed, value = _time_solve(fn, repeat)
-        return L_col, elapsed, value
-
-    # one discarded warm-up at the cheapest point (imports, allocator)
-    run_one(max(eps_list))
-    for eps in eps_list:
-        L_col, elapsed, value = run_one(eps)
-        rows.append(
-            {
-                "problem": problem,
-                "eps": float(eps),
-                "L": L_col,
-                "seed": seed,
-                "elapsed_ms": round(elapsed, 3),
-                "value": value,
-            }
-        )
-        times.append(elapsed)
-        inv_eps.append(float(1 / eps))
-
-    return {"rows": rows, "exponent": fit_exponent(inv_eps, times)}
+    return _sweep(problem, eps_list, make_fn, repeat, seed)
 
 
 def bench_nsweep(
@@ -326,121 +316,62 @@ def bench_nsweep(
     confidence: int = 4,
     engine_name: str = "pairs",
 ) -> dict:
-    """Time a solver across instance sizes at fixed eps and fit the
-    runtime exponent in n. Uses the sparsity-skipping engine so the
-    n-dominated regime is visible (the dense engine's fixed
-    convolution cost would flatten the trend). The points are timed
-    round-robin, `repeat` passes over every n after a discarded warm-up
-    pass, keeping the best time per n, so a burst of load slows one pass
-    rather than every run of one point."""
+    """Time a solver across instance sizes (_nsweep_instance) at fixed
+    eps and fit the runtime exponent in n. Uses the sparsity-skipping
+    engine so the n-dominated regime is visible (the dense engine's
+    fixed convolution cost would flatten the trend)."""
     engine = ENGINES[engine_name]
     eps = Fraction(eps)
 
     def make_fn(n: int):
-        rng = np.random.default_rng(seed + n)
-        items = tuple(int(x) for x in rng.integers(1, 10**6, size=n))
-        t = max(8, sum(items) // 2)
-        inst = SubsetSumInstance(items=items, target=t)
-        if problem == "subsetsum":
-            return lambda: approximate_subset_sum(
-                inst, eps, seed=seed, confidence=confidence, engine=engine
-            ).value
-        if problem == "partition":
-            from .core import PartitionInstance
+        inst = _nsweep_instance(problem, n, eps, seed)
+        fn = lambda: _approx(problem, inst, eps, seed, confidence, engine, None).value
+        return fn, n, float(eps), ""
 
-            pinst = PartitionInstance(items=items)
-            return lambda: approximate_partition(pinst, eps, engine=engine).value
-        raise ValueError(f"unknown bench problem {problem!r}")
-
-    fns = [make_fn(n) for n in n_list]
-    times = [float("inf")] * len(fns)
-    values = [0] * len(fns)
-    for rep in range(repeat + 1):
-        for i, fn in enumerate(fns):
-            elapsed, values[i] = _time_solve(fn, 1)
-            if rep:
-                times[i] = min(times[i], elapsed)
-    rows = [
-        {
-            "problem": problem,
-            "eps": float(eps),
-            "L": "",
-            "seed": seed,
-            "elapsed_ms": round(elapsed, 3),
-            "value": value,
-        }
-        for elapsed, value in zip(times, values)
-    ]
-    return {"rows": rows, "exponent": fit_exponent(list(n_list), times)}
+    return _sweep(problem, n_list, make_fn, repeat, seed)
 
 
 def bench_minconv(sizes, repeat: int = 1, seed: int = 0, engine_name: str = "dense") -> dict:
     """Time raw engine calls over full-defined random sequences."""
     engine = ENGINES[engine_name]
     rng = np.random.default_rng(seed)
-    rows = []
-    times = []
-    warm = ExtSeq([1, 2, 3])
-    engine(warm, warm)  # discarded warm-up
-    for size in sizes:
+
+    def make_fn(size: int):
         a = ExtSeq.from_arrays(rng.integers(0, 10**6, size=size), np.ones(size, bool))
         b = ExtSeq.from_arrays(rng.integers(0, 10**6, size=size), np.ones(size, bool))
 
-        def fn(a=a, b=b):
+        def fn():
             engine(a, b)
-            return 0
+            return ""
 
-        elapsed, _ = _time_solve(fn, repeat)
-        rows.append(
-            {
-                "problem": "minconv",
-                "eps": size,
-                "L": "",
-                "seed": seed,
-                "elapsed_ms": round(elapsed, 3),
-                "value": "",
-            }
-        )
-        times.append(elapsed)
-    return {"rows": rows, "exponent": fit_exponent(list(sizes), times)}
+        return fn, size, size, ""
+
+    return _sweep("minconv", sizes, make_fn, repeat, seed)
 
 
 def _write_csv(rows, out) -> None:
     out.write("problem,eps,L,seed,elapsed_ms,value\n")
     for r in rows:
-        out.write(
-            f"{r['problem']},{r['eps']},{r['L']},{r['seed']},{r['elapsed_ms']},{r['value']}\n"
-        )
+        out.write(",".join(str(v) for v in r.values()) + "\n")
 
 
 def _cmd_bench(args) -> int:
+    common = dict(repeat=args.repeat, seed=args.seed)
     if args.problem == "minconv":
         sizes = [int(s) for s in args.sizes.split(",")]
-        outcome = bench_minconv(
-            sizes, repeat=args.repeat, seed=args.seed, engine_name=args.engine or "dense"
-        )
+        outcome = bench_minconv(sizes, engine_name=args.engine or "dense", **common)
     elif args.n_sweep:
         n_list = [int(s) for s in args.n_sweep.split(",")]
+        eps = parse_eps(args.eps)
         outcome = bench_nsweep(
-            args.problem,
-            n_list,
-            parse_eps(args.eps),
-            repeat=args.repeat,
-            seed=args.seed,
-            confidence=args.confidence,
-            engine_name=args.engine or "pairs",
+            args.problem, n_list, eps, confidence=args.confidence,
+            engine_name=args.engine or "pairs", **common,
         )
     else:
         eps_list = parse_eps_sweep(args.eps_sweep)
         outcome = bench_scaling(
-            args.problem,
-            eps_list,
-            repeat=args.repeat,
-            n=args.n,
-            seed=args.seed,
-            confidence=args.confidence,
-            engine_name=args.engine or "dense",
-            L=args.L,
+            args.problem, eps_list, n=args.n, confidence=args.confidence,
+            engine_name=args.engine or "dense", L=args.L, **common,
         )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -193,13 +193,13 @@ def _exact_pair(a: SparseSet, b: SparseSet) -> SparseSet:
 def _sum_tree(sets: list[np.ndarray]) -> Optional[SumNode]:
     """Balanced tree of exact pairwise sumsets over the sorted arrays in
     sets; leaves hold their index into sets. Sets equal to {0} (identity
-    elements) and empty sets are skipped; None when nothing is left. The
-    total length is checked against SUMSET_BUDGET before any sumset is
-    built; no node can be longer."""
+    elements) are skipped, and an empty set empties the sumset; None when
+    nothing is left. The total length is checked against SUMSET_BUDGET
+    before any sumset is built; no node can be longer."""
     leaves = [
         SumNode(SparseSet(z, delta=0, cap=INFINITY), leaf=i)
         for i, z in enumerate(sets)
-        if z.size and not (z.size == 1 and z[0] == 0)
+        if not (z.size == 1 and z[0] == 0)
     ]
     if not leaves:
         return None
@@ -214,8 +214,9 @@ def _sum_tree(sets: list[np.ndarray]) -> Optional[SumNode]:
 def exact_sumset_tree(zsets) -> np.ndarray:
     """Exact sumset Z_1 + ... + Z_L of non-negative integer sets,
     computed pairwise in a balanced tree (FFT-backed above a small
-    cutoff). Sets equal to {0} are identity elements and are skipped; a
-    negative or non-integer element raises ValidationError (a ValueError)."""
+    cutoff). Sets equal to {0} are identity elements and are skipped, an
+    empty set gives the empty sumset; a negative or non-integer element
+    raises ValidationError (a ValueError)."""
     tree = _sum_tree([np.unique(np.asarray(list(z))) for z in zsets])
     return np.array([0], dtype=np.int64) if tree is None else tree.result.elems
 

@@ -2,11 +2,14 @@
 flag parsing, and the reduce round trip."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import sparsesum.cli as cli
 from sparsesum.cli import fit_exponent, main, parse_eps, parse_eps_sweep
 from sparsesum.core import KnapsackInstance, load_instance, write_instance
+from sparsesum.subsetsum import GreedyTrace, approximate_subset_sum
 from fractions import Fraction
 
 
@@ -141,14 +144,36 @@ def test_bench_small_sweep_csv(tmp_path, capsys):
 
 
 def test_bench_n_sweep_near_linear(capsys):
-    # n-dominated regime: runtime grows about linearly with n
-    from sparsesum.cli import bench_nsweep
-
-    out = bench_nsweep(
-        "subsetsum", [150, 300, 600, 1200], Fraction(1, 8), repeat=5, seed=2
+    # n-dominated regime: runtime grows about linearly with n. Every item
+    # lies above delta, so the solves run the scheme, not greedy_small.
+    n_list, eps = [50, 100, 200, 400], Fraction(1, 8)
+    _, trace = approximate_subset_sum(
+        cli._nsweep_instance("subsetsum", n_list[0], eps, 2), eps, seed=2, return_trace=True
     )
+    assert not isinstance(trace.root, GreedyTrace)
+    out = cli.bench_nsweep("subsetsum", n_list, eps, repeat=5, seed=2)
     assert 0.5 <= out["exponent"] <= 1.6, f"slope {out['exponent']}"
     assert len(out["rows"]) == 4
+
+
+def test_sweep_times_round_robin_after_one_warm_up(monkeypatch):
+    calls = []
+
+    def stub(inst, eps, **kwargs):
+        calls.append(eps)
+        return SimpleNamespace(value=int(1 / eps))
+
+    monkeypatch.setattr(cli, "approximate_subset_sum", stub)
+    points = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
+    out = cli.bench_scaling("subsetsum", points, repeat=2)
+    assert calls == [points[0]] + points + points
+    assert [r["eps"] for r in out["rows"]] == [0.125, 0.0625, 0.03125]
+    assert [r["value"] for r in out["rows"]] == [8, 16, 32]
+    # repeat=1: one warm-up at the cheapest (largest) eps, then one call per point
+    calls.clear()
+    shuffled = [points[2], points[0], points[1]]
+    cli.bench_scaling("subsetsum", shuffled, repeat=1)
+    assert calls == [points[0]] + shuffled
 
 
 def test_bench_minconv_runs(capsys):
@@ -196,6 +221,12 @@ def test_memory_budgets_exit_1(tmp_path, capsys):
         ["bench", "subsetsum", "--eps-sweep", "0..2^-3"],
         ["verify", "subsetsum", "--trials", "0"],
         ["verify", "subsetsum", "--trials", "-1"],
+        ["bench", "subsetsum", "--repeat", "0"],
+        ["bench", "subsetsum", "--eps-sweep", "2^-3..2^-3"],
+        ["bench", "subsetsum", "--eps-sweep", "2^-3,2^-3"],
+        ["bench", "subsetsum", "--eps-sweep", ","],
+        ["bench", "subsetsum", "--eps-sweep", "2^-3,0"],
+        ["bench", "subsetsum", "--n-sweep", "20"],
     ],
 )
 def test_bad_numbers_are_typed_errors(tmp_path, capsys, argv):

@@ -73,6 +73,9 @@ def test_exact_sumset_tree_examples():
     assert exact_sumset_tree([[0, 1], [0, 2]]).tolist() == [0, 1, 2, 3]
     assert exact_sumset_tree([[0, 7, 9]]).tolist() == [0, 7, 9]
     assert exact_sumset_tree([]).tolist() == [0]
+    # an empty operand empties the sumset
+    assert exact_sumset_tree([[0, 3], []]).tolist() == []
+    assert exact_sumset_tree([[]]).tolist() == []
     with pytest.raises(ValueError):
         exact_sumset_tree([[-1, 2]])
     with pytest.raises(ValueError):
