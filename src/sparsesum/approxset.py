@@ -23,7 +23,7 @@ re-sparsifying gives the capped variant used by the solvers.
 With the default engine the sequences are never laid out: each set has
 at most two defined entries per element, read straight off its sorted
 elements, so a sumset costs O(|A|*|B|) pairs instead of a grid of
-8*ceil(t/delta) entries per operand, for every t below 2^63. The dense
+4*ceil(t/delta) + 2 entries per operand, for every t below 2^63. The dense
 engine and any other callable engine get the full grid, scattered from
 the same per-element entries (the scaling benchmark measures the dense
 engine's grid cost); above the int64 kernel range the engine, not the
@@ -247,7 +247,7 @@ def _pairs_sumset(e1: np.ndarray, e2: np.ndarray, t: int, delta: int) -> np.ndar
     p2, v2 = _interval_entries(e2, delta)
     pos = np.add.outer(p1, p2).ravel()
     val = np.add.outer(v1.astype(np.uint64), v2.astype(np.uint64)).ravel()
-    nc = 16 * n_cells - 1  # the grid path's output length
+    nc = 16 * n_cells - 1  # exceeds every pair position; also the scatter/sort cutoff
     if pos.size >= nc:
         lo = np.full(nc, _UNDEFINED_LO, dtype=np.uint64)
         hi = np.zeros(nc, dtype=np.uint64)
@@ -293,7 +293,8 @@ def unbounded_sumset(
         sums = _pairs_sumset(A1.elems, A2.elems, t, delta)
         elems = sums[: int(np.searchsorted(sums, INT63_MAX, side="right"))].astype(np.int64)
     else:
-        n_intervals = 4 * ((t + delta - 1) // delta)
+        # every element is at most t, so its interval is at most 2*ceil(t/delta)
+        n_intervals = 2 * ((t + delta - 1) // delta) + 1
         X1 = _grid(A1.elems, n_intervals, delta)
         X2 = _grid(A2.elems, n_intervals, delta)
         lo_v, lo_d = engine(X1, X2).to_arrays()

@@ -21,8 +21,10 @@ Instance text formats (lines starting with '#' are comments):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -52,16 +54,21 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _check_int63(value, what: str, low: int | None = None) -> int:
-    """value as an int. It must be an int or np.integer that fits in 63
-    bits and, if low is given, is at least low."""
+def _check_int(value, what: str, low: int | None = None) -> int:
+    """value as an int. It must be an int or np.integer and, if low is
+    given, at least low."""
     if not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} {value!r} is not an integer")
-    value = int(value)
-    if not (-INT63_MAX - 1 <= value <= INT63_MAX):
-        raise ValidationError(f"{what} {value} does not fit in 63 bits")
     if low is not None and value < low:
         raise ValidationError(f"{what} {value} must be >= {low}")
+    return int(value)
+
+
+def _check_int63(value, what: str, low: int | None = None) -> int:
+    """_check_int for a value that must also fit in 63 bits."""
+    value = _check_int(value, what, low)
+    if not (-INT63_MAX - 1 <= value <= INT63_MAX):
+        raise ValidationError(f"{what} {value} does not fit in 63 bits")
     return value
 
 
@@ -255,6 +262,28 @@ class ApproxResult:
             "mode": self.mode,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
+
+
+def _epsilon(epsilon) -> Fraction:
+    """The solvers' epsilon as a Fraction; it must lie in (0, 1)."""
+    eps = Fraction(epsilon)
+    if not (0 < eps < 1):
+        raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
+    return eps
+
+
+def _finish(witness, eps: Fraction, delta: int, mode: str, start: float, trace, return_trace: bool):
+    """The solvers' one exit: the ApproxResult of witness, timed from
+    the perf_counter reading start, paired with trace if return_trace."""
+    result = ApproxResult(
+        value=sum(witness),
+        witness=tuple(witness),
+        epsilon=float(eps),
+        delta=delta,
+        mode=mode,
+        elapsed_ms=(time.perf_counter() - start) * 1e3,
+    )
+    return (result, trace) if return_trace else result
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -39,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .approxset import SumNode, descend, sparsify, unbounded_sumset
-from .core import INFINITY, ApproxResult, InvariantError, PartitionInstance, SparseSet
+from .core import INFINITY, InvariantError, PartitionInstance, SparseSet, _check_int, _epsilon, _finish
 from .minconv import min_conv
 
 SUMSET_BUDGET = 2**26  # max top-half sumset length: ~40 bytes per slot at its FFT
@@ -261,19 +262,15 @@ def approximate_partition(
     work against the top-half FFT length; any 1 <= L <= 1/eps gives the
     same guarantee.
     """
-    eps = Fraction(epsilon)
-    if not (0 < eps < 1):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    eps = _epsilon(epsilon)
+    L = None if L is None else _check_int(L, "L", low=1)
+    start = time.perf_counter()
     engine = engine or min_conv
     items = list(inst.items)
     sigma = inst.sigma
-    start = time.perf_counter()
 
     if not items:
-        result = ApproxResult(
-            value=0, witness=(), epsilon=float(eps), delta=0, mode="exact-fallback"
-        )
-        return (result, None) if return_trace else result
+        return _finish((), eps, 0, "exact-fallback", start, None, return_trace)
 
     big = max(items)
     if 2 * big > sigma:
@@ -281,22 +278,13 @@ def approximate_partition(
         # everything else is exactly optimal
         rest = list(items)
         rest.remove(big)
-        elapsed = (time.perf_counter() - start) * 1e3
-        result = ApproxResult(
-            value=sigma - big,
-            witness=tuple(rest),
-            epsilon=float(eps),
-            delta=0,
-            mode="exact-fallback",
-            elapsed_ms=elapsed,
-        )
-        return (result, None) if return_trace else result
+        return _finish(rest, eps, 0, "exact-fallback", start, None, return_trace)
 
     half = sigma // 2
     dfrac = eps * sigma / 8
     delta = max(1, dfrac.numerator // dfrac.denominator)
-    L_val = _pick_L(eps, sigma) if L is None else int(L)
-    if not (1 <= L_val <= sigma):
+    L_val = _pick_L(eps, sigma) if L is None else L
+    if L_val > sigma:
         raise ValueError(f"L must be in [1, sigma], got {L_val}")
     R = max(1, delta // L_val)
 
@@ -317,24 +305,17 @@ def approximate_partition(
         s_best=s_best,
     )
 
-    witness = reconstruct_partition(trace, s_best)
-    if sum(witness) <= half:
-        chosen = witness
-    else:
-        remaining = list(items)
-        for w in witness:
-            remaining.remove(w)
-        chosen = remaining
-    elapsed = (time.perf_counter() - start) * 1e3
-    result = ApproxResult(
-        value=sum(chosen),
-        witness=tuple(chosen),
-        epsilon=float(eps),
-        delta=delta,
-        mode="approx",
-        elapsed_ms=elapsed,
-    )
-    return (result, trace) if return_trace else result
+    chosen = reconstruct_partition(trace, s_best)
+    if sum(chosen) > half:
+        # the complement: drop each witness item's first occurrence
+        drop = Counter(chosen)
+        chosen = []
+        for x in items:
+            if drop[x]:
+                drop[x] -= 1
+            else:
+                chosen.append(x)
+    return _finish(chosen, eps, delta, "approx", start, trace, return_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .approxset import SumNode, capped_sumset, descend, first_split, sparsify, zero_set
-from .core import ApproxResult, InvariantError, SparseSet, SubsetSumInstance
+from .core import InvariantError, SparseSet, SubsetSumInstance, _check_int, _epsilon, _finish
 from .minconv import min_conv
 
 
@@ -325,9 +325,8 @@ def approximate_subset_sum(
     delta = floor(min(eps*t, t/8)); when that rounds to zero the solver
     falls back to exact DP (mode="exact-fallback").
     """
-    eps = Fraction(epsilon)
-    if not (0 < eps < 1):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    eps = _epsilon(epsilon)
+    seed, confidence = _check_int(seed, "seed"), _check_int(confidence, "confidence", low=1)
     t = inst.target
     start = time.perf_counter()
     usable = [x for x in inst.items if x <= t]
@@ -335,35 +334,16 @@ def approximate_subset_sum(
     dmin = min(eps * t, Fraction(t, 8))
     delta = dmin.numerator // dmin.denominator
     if delta < 1:
-        value, witness = exact_subset_sum(usable, t)
-        elapsed = (time.perf_counter() - start) * 1e3
-        result = ApproxResult(
-            value=value,
-            witness=tuple(witness),
-            epsilon=float(eps),
-            delta=0,
-            mode="exact-fallback",
-            elapsed_ms=elapsed,
-        )
-        return (result, None) if return_trace else result
+        witness = exact_subset_sum(usable, t)[1]
+        return _finish(witness, eps, 0, "exact-fallback", start, None, return_trace)
 
     params = SchemeParams.for_instance(
         n=len(usable), t=t, delta=delta, confidence=confidence, seed=seed
     )
     aset, root = recursive_splitting(usable, t, delta, params, (), engine)
     trace = SolveTrace(root=root, t=t, delta=delta, params=params)
-    value = aset.max()
-    witness = reconstruct(trace, value)
-    elapsed = (time.perf_counter() - start) * 1e3
-    result = ApproxResult(
-        value=value,
-        witness=tuple(witness),
-        epsilon=float(eps),
-        delta=delta,
-        mode="approx",
-        elapsed_ms=elapsed,
-    )
-    return (result, trace) if return_trace else result
+    witness = reconstruct(trace, aset.max())
+    return _finish(witness, eps, delta, "approx", start, trace, return_trace)
 
 
 def _reconstruct_greedy(node: GreedyTrace, target: int) -> list:
@@ -382,25 +362,21 @@ def _reconstruct_colorcoding(node: ColorCodingTrace, target: int) -> list:
         if target == 0:
             return []
         raise ValueError(f"{target} not reachable from an empty layer")
-    for rt in node.rounds:
-        if target not in rt.final:
-            continue
-        out = []
-        cur = target
-        # the first class folds into {0}
-        prevs = [_ZERO] + [s.acc.elems for s in rt.steps[:-1]]
-        ok = True
-        for step, prev in zip(reversed(rt.steps), reversed(prevs)):
-            z_pick = first_split(cur, step.zset.elems, prev)
-            if z_pick is None:
-                ok = False
-                break
-            if z_pick > 0:
-                out.append(z_pick)
-            cur -= z_pick
-        if ok and cur == 0:
-            return out
-    raise ValueError(f"{target} not found in any color-coding round")
+    rt = next((rt for rt in node.rounds if target in rt.final), None)
+    if rt is None:
+        raise ValueError(f"{target} not found in any color-coding round")
+    out = []
+    cur = target
+    # the first class folds into {0}
+    prevs = [_ZERO] + [s.acc.elems for s in rt.steps[:-1]]
+    for step, prev in zip(reversed(rt.steps), reversed(prevs)):
+        z_pick = first_split(cur, step.zset.elems, prev)
+        if z_pick is None:
+            raise ValueError(f"value {cur} is not decomposable; trace corrupted")
+        if z_pick > 0:
+            out.append(z_pick)
+        cur -= z_pick
+    return out
 
 
 def _reconstruct_leaf(node, target: int) -> list:

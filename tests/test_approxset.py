@@ -145,6 +145,12 @@ def test_unbounded_sumset_trivial_and_example():
     assert set(out.to_list()) <= set(full)
     assert is_approximation(out, full, INFINITY, 12)
     assert out.cap is INFINITY
+    with pytest.raises(ValueError, match="delta must be >= 1"):
+        unbounded_sumset(a1, a2, 12, 0)
+    with pytest.raises(ValueError, match="need t >= delta"):
+        unbounded_sumset(z, z, 2, 3)
+    with pytest.raises(ValueError, match="input element 7 exceeds t=6"):
+        unbounded_sumset(a1, a2, 6, 3)
 
 
 def test_unbounded_sumset_randomized_oracle():
@@ -168,6 +174,12 @@ def test_capped_sumset_examples_and_oracle():
     assert is_approximation(out, [0, 5, 7], 10, 3)
     z = sset({0}, 1, 5)
     assert capped_sumset(z, z, 5, 1).to_list() == [0]
+    with pytest.raises(ValueError, match="delta must be >= 1"):
+        capped_sumset(a1, a2, 10, 0)
+    with pytest.raises(ValueError, match="need t >= delta"):
+        capped_sumset(z, z, 2, 3)
+    with pytest.raises(ValueError, match="input element 7 exceeds t=6"):
+        capped_sumset(a1, a2, 6, 3)
 
     rng = np.random.default_rng(99)
     for trial in range(400):
@@ -195,7 +207,7 @@ def test_grid_matches_unfold_oracle():
             delta = int(rng.integers(1, t + 1))
         if trial % 2:
             delta -= 1 - delta % 2  # odd delta
-        n_intervals = 4 * ((t + delta - 1) // delta)
+        n_intervals = 2 * ((t + delta - 1) // delta) + 1  # the dense engine's grid
         size = int(rng.integers(0, 30))
         elems = {int(x) for x in rng.integers(0, t, size=size, endpoint=True)}
         # boundary elements 2a = i*delta sit in two intervals

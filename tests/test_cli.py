@@ -227,6 +227,7 @@ def test_memory_budgets_exit_1(tmp_path, capsys):
         ["bench", "subsetsum", "--eps-sweep", ","],
         ["bench", "subsetsum", "--eps-sweep", "2^-3,0"],
         ["bench", "subsetsum", "--n-sweep", "20"],
+        ["solve", "subsetsum", "--confidence", "0", "--eps", "2^-12"],
     ],
 )
 def test_bad_numbers_are_typed_errors(tmp_path, capsys, argv):

@@ -44,6 +44,12 @@ def test_bellman_examples():
     assert bellman_knapsack(empty) == (0, False)
     one = KnapsackInstance(weights=(1,), values=(1,), budget=1, goal=1)
     assert bellman_knapsack(one) == (1, True)
+    # a zero-weight item is always taken
+    free = KnapsackInstance(weights=(0, 2, 3), values=(5, 4, 7), budget=3, goal=12)
+    assert bellman_knapsack(free) == (12, True)
+    huge = KnapsackInstance(weights=(1, 1), values=(2**62, 1), budget=2, goal=1)
+    with pytest.raises(OverflowError, match="risks int64 overflow"):
+        bellman_knapsack(huge)
 
 
 def test_bellman_vs_bruteforce_randomized():

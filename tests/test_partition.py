@@ -12,7 +12,7 @@ import pytest
 
 import sparsesum
 from sparsesum.approxset import is_approximation
-from sparsesum.core import INFINITY, PartitionInstance, subset_sums_bruteforce
+from sparsesum.core import INFINITY, PartitionInstance, ValidationError, subset_sums_bruteforce
 from sparsesum.partition import (
     _NAIVE_PAIRS,
     _fast_len,
@@ -203,6 +203,40 @@ def test_partition_empty():
     assert res.value == 0
 
 
+def test_partition_complement_drops_first_occurrences():
+    # a retraced witness above sigma/2 is replaced by its complement:
+    # the items in input order, less each witness item's first occurrence
+    complements = 0
+    for seed in range(40):
+        inst = gen_instance("partition", 12, 30, seed=seed)
+        res, trace = approximate_partition(inst, 0.25, return_trace=True)
+        if trace is None:
+            continue
+        w = reconstruct_partition(trace, trace.s_best)
+        if sum(w) <= inst.sigma // 2:
+            assert res.witness == tuple(w)
+            continue
+        complements += 1
+        rest = list(inst.items)
+        for x in w:
+            rest.remove(x)
+        assert res.witness == tuple(rest), f"seed {seed}"
+    assert complements
+
+
+@pytest.mark.parametrize(
+    "items", [(), (100, 1, 1), (3, 1, 1, 2, 2, 1)], ids=["empty", "largest-item", "approx"]
+)
+@pytest.mark.parametrize(
+    "name,value",
+    [("epsilon", 0), ("epsilon", 1), ("epsilon", 1.5), ("L", 2.5), ("L", "3"), ("L", "x"),
+     ("L", 0), ("L", -3)],
+)
+def test_bad_parameters_raise_before_every_exit(items, name, value):
+    with pytest.raises(ValidationError):
+        approximate_partition(PartitionInstance(items=items), **{"epsilon": 0.25, name: value})
+
+
 def test_partition_determinism():
     inst = gen_instance("partition", 12, 10_000, seed=3)
     a = approximate_partition(inst, 0.0625)
@@ -235,9 +269,11 @@ def test_partition_L_override():
     inst = gen_instance("partition", 10, 500, seed=9)
     half = inst.sigma // 2
     opt = bruteforce_opt(inst.items, half)
-    for L in (1, 2, 5, 9):
+    for L in (1, 2, 5, np.int64(9)):
         res = approximate_partition(inst, 0.125, L=L)
         assert (1 - 0.125) * opt <= res.value <= opt, f"L={L}"
+    with pytest.raises(ValueError, match=r"L must be in \[1, sigma\]"):
+        approximate_partition(inst, 0.125, L=inst.sigma + 1)
 
 
 def test_reconstruct_partition_all_values():

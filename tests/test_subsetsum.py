@@ -6,9 +6,10 @@ import pytest
 from collections import Counter
 from fractions import Fraction
 
-from sparsesum.approxset import SumNode, is_approximation
-from sparsesum.core import InvariantError, SubsetSumInstance, subset_sums_bruteforce
+from sparsesum.approxset import SumNode, is_approximation, zero_set
+from sparsesum.core import InvariantError, SubsetSumInstance, ValidationError, subset_sums_bruteforce
 from sparsesum.subsetsum import (
+    FoldStep,
     SchemeParams,
     SolveTrace,
     approximate_subset_sum,
@@ -207,6 +208,10 @@ def test_reproducibility_same_seed_same_result():
     a = approximate_subset_sum(inst, 0.1, seed=42)
     b = approximate_subset_sum(inst, 0.1, seed=42)
     assert a.value == b.value and a.witness == b.witness
+    # seeds of any size are reduced mod 2^63; numpy integers are ints
+    for seed in (2**70 + 42, np.int64(42)):
+        c = approximate_subset_sum(inst, 0.1, seed=seed, confidence=np.int32(4))
+        assert c.value == a.value and c.witness == a.witness
     c = approximate_subset_sum(inst, 0.1, seed=43)
     assert isinstance(c.value, int)  # different seed may differ; just runs
 
@@ -228,6 +233,34 @@ def test_reconstruction_every_root_value():
             assert sum(w) == v, f"trial {trial} value {v}"
             assert not (Counter(w) - Counter(items)), f"trial {trial} value {v}"
             assert (reach >> v) & 1, f"trial {trial}: {v} is not a real subset sum"
+
+
+def test_colorcoding_walk_back_raises_on_a_corrupted_round():
+    # the first round holding the target is walked back; a step that
+    # does not decompose is a corrupted trace, not a cue to try the next
+    # round (which here would still decompose)
+    _, trace = color_coding([40, 50], 100, 5, 8, params_for(2, 100, 5))
+    assert reconstruct(trace, 90) in ([40, 50], [50, 40])
+    rt = next(rt for rt in trace.rounds if 90 in rt.final)
+    assert sum(90 in other.final for other in trace.rounds) > 1
+    rt.steps = [FoldStep(zset=zero_set(5, 100), acc=step.acc) for step in rt.steps]
+    with pytest.raises(ValueError, match="trace corrupted"):
+        reconstruct(trace, 90)
+
+
+QUICKSTART = SubsetSumInstance(items=(134, 997, 61, 598, 78), target=1200)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 16), Fraction(1, 2000)], ids=["approx", "exact"])
+@pytest.mark.parametrize(
+    "name,value",
+    [("epsilon", 0), ("epsilon", 1), ("epsilon", Fraction(3, 2)), ("confidence", 2.5),
+     ("confidence", "4"), ("confidence", 0), ("seed", 1.5), ("seed", "7"), ("seed", None)],
+)
+def test_bad_parameters_raise_before_every_exit(eps, name, value):
+    # the approx path and the exact fallback check the same parameters
+    with pytest.raises(ValidationError):
+        approximate_subset_sum(QUICKSTART, **{"epsilon": eps, name: value})
 
 
 def test_reconstruct_rejects_unknown_target():
