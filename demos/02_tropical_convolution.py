@@ -3,8 +3,6 @@
 C[k] = min over i+j=k of A[i] + B[j], taken over the pairs where both
 entries are defined. UNDEFINED is a real tag (not a big number): it is
 the neutral element for min *and* max, which no finite stand-in can be.
-For engines that need finite values anyway, sentinel_wrap maps it to a
-large M and sentinel_unwrap classifies results back.
 
 The packing construction at the end solves many convolution instances
 with a single engine call: block r is shifted by r^2 * 2M, and the
@@ -20,8 +18,6 @@ from sparsesum import (
     max_conv,
     min_conv,
     min_conv_dense,
-    sentinel_unwrap,
-    sentinel_wrap,
 )
 
 A = ExtSeq([1, UNDEFINED, 4])
@@ -34,14 +30,6 @@ print(f"max_conv(A, B) = {max_conv(A, B)}")
 # the dense engine grinds through every index pair; same answers
 assert min_conv_dense(A, B) == min_conv(A, B)
 print("dense engine agrees with the pair-skipping engine")
-
-# sentinel wrapping for engines without native UNDEFINED
-M = 1000
-wa, wb = sentinel_wrap(A, M), sentinel_wrap(B, M)
-print(f"\nwrapped with M={M}: A' = {wa}, B' = {wb}")
-raw = min_conv(ExtSeq(wa), ExtSeq(wb))
-print(f"raw wrapped conv   = {raw}")
-print(f"unwrapped          = {sentinel_unwrap(raw.entries, M)}")
 
 # many instances, one call
 rng = np.random.default_rng(3)

@@ -24,8 +24,6 @@ from .minconv import (
     max_conv,
     min_conv,
     min_conv_dense,
-    sentinel_unwrap,
-    sentinel_wrap,
 )
 from .approxset import (
     apx_bounds,

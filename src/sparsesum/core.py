@@ -151,9 +151,7 @@ def _as_int64_array(elems) -> np.ndarray:
     arr = np.asarray(elems)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValidationError(f"elements must be 63-bit integers, got dtype {arr.dtype}")
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,7 @@ class SparseSet:
 
     def __post_init__(self):
         arr = _as_int64_array(self.elems)
+        arr.flags.writeable = False
         object.__setattr__(self, "elems", arr)
         if arr.ndim != 1:
             raise ValidationError("elems must be one-dimensional")
@@ -223,7 +222,7 @@ class SparseSet:
 
 
 def is_delta_sparse(elems, delta: int) -> bool:
-    arr = np.asarray(elems, dtype=np.int64)
+    arr = _as_int64_array(elems)
     if arr.size < 3:
         return True
     return bool((arr[2:] - arr[:-2] > delta).all())

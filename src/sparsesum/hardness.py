@@ -120,7 +120,7 @@ def gap_subset_sum(X, t: int, epsilon, seed: int = 0, confidence: int = 4) -> bo
     either answer may come back.
     """
     eps = Fraction(epsilon)
-    inst = SubsetSumInstance(items=tuple(int(x) for x in X), target=int(t))
+    inst = SubsetSumInstance(items=tuple(X), target=t)
     result = approximate_subset_sum(inst, eps, seed=seed, confidence=confidence)
     return Fraction(result.value) >= (1 - eps) * t
 
@@ -129,7 +129,16 @@ def solve_knapsack_via_gap(inst: KnapsackInstance, gap_solver=gap_subset_sum) ->
     """Decide a knapsack instance through the gap reduction; small
     instances (n below log2 M) go straight to the exact DP, where the
     DP is cheap anyway. So do instances whose reduced numbers do not fit
-    in 63 bits, which no SubsetSum instance can hold."""
+    in 63 bits, which no SubsetSum instance can hold. Zero-weight items
+    are folded out first: one of positive value is always taken, so its
+    value comes off the goal, and the others never help."""
+    if 0 in inst.weights:
+        goal = inst.goal - sum(v for w, v in zip(inst.weights, inst.values) if w == 0 and v > 0)
+        kept = [(w, v) for w, v in zip(inst.weights, inst.values) if w]
+        if goal <= 0:
+            return True
+        reduced = KnapsackInstance(tuple(w for w, _ in kept), tuple(v for _, v in kept), inst.budget, goal)
+        return solve_knapsack_via_gap(reduced, gap_solver)
     M = inst.max_number
     if inst.n < clog2(max(2, M)):
         return bellman_knapsack(inst)[1]

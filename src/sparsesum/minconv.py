@@ -13,9 +13,9 @@ Engines:
                   the engine the scaling benchmark uses, because its
                   cost is Theta(|A|*|B|) regardless of sparsity
 Both are callables ExtSeq x ExtSeq -> ExtSeq; any callable with that
-signature can be plugged into the sumset routines instead. For engines
-that cannot represent UNDEFINED natively, sentinel_wrap/sentinel_unwrap
-map it to a large finite value and classify it back.
+signature can be plugged into the sumset routines instead. Both run a
+kernel of _kernels, which take and return a value array and a defined
+mask; the dense kernel keeps its finite stand-in for UNDEFINED to itself.
 
 An ExtSeq is an int64 value array plus a defined mask; a defined entry
 that is not an int or np.integer raises TypeError, and one beyond
@@ -33,7 +33,7 @@ cost O(log m) bits, so the packing stays in int64 while (4m^2+2)*M does.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -137,20 +137,14 @@ def as_extseq(seq) -> ExtSeq:
     return seq if isinstance(seq, ExtSeq) else ExtSeq(seq)
 
 
-def _pairs_conv(av, ad, bv, bd) -> tuple[np.ndarray, np.ndarray]:
-    apos = np.flatnonzero(ad)
-    bpos = np.flatnonzero(bd)
-    nc = av.shape[0] + bv.shape[0] - 1
-    return _kernels.pairs_minconv(av[apos], apos, bv[bpos], bpos, nc)
-
-
 class ConvEngine:
     """Callable (min,+)-convolution engine with an array fast path.
 
-    __call__ is the public ExtSeq interface. It is the only caller of
-    conv_masked(values_a, defined_a, values_b, defined_b), the int64
-    kernel call for entries within VAL_LIMIT; that stays a separate
-    method so that a tracer can patch the kernel call by name.
+    __call__ is the public ExtSeq interface. Within VAL_LIMIT it calls
+    conv_masked(values_a, defined_a, values_b, defined_b), which runs the
+    engine's int64 kernel; that stays a separate method so that a tracer
+    can patch the kernel call by name. Above VAL_LIMIT both engines run
+    the pairs kernel on object arrays of Python ints.
     """
 
     def __init__(self, name: str, dense: bool):
@@ -162,13 +156,8 @@ class ConvEngine:
         return f"<ConvEngine {self.name}>"
 
     def conv_masked(self, av, ad, bv, bd) -> tuple[np.ndarray, np.ndarray]:
-        if not self.dense:
-            return _pairs_conv(av, ad, bv, bd)
-        a = np.where(ad, av, _kernels.SENT)
-        b = np.where(bd, bv, _kernels.SENT)
-        raw = _kernels.dense_minconv(a, b)
-        defined = raw <= _kernels.DEFINED_MAX
-        return np.where(defined, raw, 0), defined
+        kernel = _kernels.dense_minconv if self.dense else _kernels.pairs_minconv
+        return kernel(av, ad, bv, bd)
 
     def __call__(self, A, B) -> ExtSeq:
         A, B = as_extseq(A), as_extseq(B)
@@ -178,7 +167,7 @@ class ConvEngine:
         bv, bd = B.to_arrays()
         if A.max_abs <= _kernels.VAL_LIMIT and B.max_abs <= _kernels.VAL_LIMIT:
             return ExtSeq.from_arrays(*self.conv_masked(av, ad, bv, bd))
-        return ExtSeq.from_arrays(*_pairs_conv(av.astype(object), ad, bv.astype(object), bd))
+        return ExtSeq.from_arrays(*_kernels.pairs_minconv(av.astype(object), ad, bv.astype(object), bd))
 
 
 min_conv = ConvEngine("pairs", dense=False)
@@ -191,47 +180,6 @@ def max_conv(A, B, engine=None) -> ExtSeq:
     engine = engine or min_conv
     A, B = as_extseq(A), as_extseq(B)
     return engine(A.negate(), B.negate()).negate()
-
-
-def sentinel_wrap(A, M: int) -> list[int]:
-    """Replace UNDEFINED with the finite sentinel M.
-
-    Requires every defined entry in [-M/4, M/4]. Meant for plugging in
-    third-party (min,+) engines without native UNDEFINED support: after
-    convolving wrapped inputs, sentinel_unwrap classifies outputs in
-    [-M/2, M/2] as genuine and outputs in [3M/4, 2M] as UNDEFINED.
-    """
-    A = as_extseq(A)
-    M = int(M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    out = []
-    for e in A.entries:
-        if e is UNDEFINED:
-            out.append(M)
-        else:
-            if 4 * abs(e) > M:
-                raise ValueError(f"entry {e} outside [-M/4, M/4] for M={M}")
-            out.append(e)
-    return out
-
-
-def sentinel_unwrap(seq: Sequence[int], M: int) -> ExtSeq:
-    """Classify sentinel-wrapped convolution outputs back to ExtSeq."""
-    M = int(M)
-    out = []
-    for c in seq:
-        c = int(c)
-        if 2 * abs(c) <= M:
-            out.append(c)
-        elif 4 * c >= 3 * M and c <= 2 * M:
-            out.append(UNDEFINED)
-        else:
-            raise ValueError(
-                f"output {c} falls in neither the value band [-M/2, M/2] "
-                f"nor the undefined band [3M/4, 2M]"
-            )
-    return ExtSeq(out)
 
 
 def batch_min_conv(instances, engine=None) -> list[ExtSeq]:

@@ -40,7 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .approxset import SumNode, descend, sparsify, unbounded_sumset
-from .core import INFINITY, InvariantError, PartitionInstance, SparseSet, _check_int, _epsilon, _finish
+from .core import (INFINITY, InvariantError, PartitionInstance, SparseSet, _as_int64_array,
+                   _check_int, _check_ints, _epsilon, _finish)
 from .minconv import min_conv
 
 SUMSET_BUDGET = 2**26  # max top-half sumset length: ~40 bytes per slot at its FFT
@@ -60,7 +61,7 @@ def greedy_partition_split(X, L: int) -> list[list[int]]:
     closed part's sum stays below 4*sigma/L, and at most L/2 parts of
     either kind arise, plus one trailing partial part).
     """
-    X = [int(x) for x in X]
+    X = _check_ints(X, "item")
     sigma = sum(X)
     L = int(L)
     if not (1 <= L <= max(1, sigma)):
@@ -111,7 +112,7 @@ def bottom_half(X_i, delta: int, engine=None) -> tuple[SparseSet, SumNode]:
     delta = int(delta)
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    items = [int(x) for x in X_i]
+    items = _check_ints(X_i, "item")
     if not items:
         empty = SparseSet(np.array([0], dtype=np.int64), delta=delta, cap=INFINITY)
         return empty, SumNode(empty)
@@ -139,10 +140,8 @@ def weak_round(Z, R: int) -> np.ndarray:
     """Elementwise floor-divide by R, deduplicated and sorted. An L-fold
     sum of rounded values, scaled back by R, sits within [s - L*R, s] of
     the original sum s."""
-    R = int(R)
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    arr = np.asarray(list(Z) if not isinstance(Z, np.ndarray) else Z, dtype=np.int64)
+    R = _check_int(R, "R", low=1)
+    arr = _as_int64_array(Z if isinstance(Z, np.ndarray) else list(Z))
     return np.unique(arr // R)
 
 

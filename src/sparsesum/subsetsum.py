@@ -37,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .approxset import SumNode, capped_sumset, descend, first_split, sparsify, zero_set
-from .core import InvariantError, SparseSet, SubsetSumInstance, _check_int, _epsilon, _finish
+from .core import InvariantError, SparseSet, SubsetSumInstance, _check_int, _check_ints, _epsilon, _finish
 from .minconv import min_conv
 
 
@@ -151,7 +151,7 @@ def greedy_small(X, t: int, delta: int) -> tuple[SparseSet, GreedyTrace]:
     """All-items-small case (max(X) <= delta): prefix sums in input
     order, stopping once the next item would exceed t, then sparsify.
     Deterministically (t,delta)-approximates S(X;t)."""
-    X = [int(x) for x in X]
+    X = _check_ints(X, "item")
     t, delta = int(t), int(delta)
     bad = [x for x in X if x > delta]
     if bad:
@@ -182,7 +182,7 @@ def color_coding(
     result is bit-identical to folding all k^2 classes.
     """
     engine = engine or min_conv
-    X = [int(x) for x in X]
+    X = _check_ints(X, "item")
     t, delta, k = int(t), int(delta), int(k)
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -230,7 +230,7 @@ def recursive_splitting(
     random halving + recursion on the small layer, capped-sumset
     recombination. Requires t >= 8*delta at the top-level call."""
     engine = engine or min_conv
-    X = [int(x) for x in X]
+    X = _check_ints(X, "item")
     t, delta = int(t), int(delta)
     if _depth == 0:
         if delta < 1:
@@ -281,8 +281,8 @@ def exact_subset_sum(items, t: int) -> tuple[int, list]:
     Used when delta would round to zero (eps*t < 1), where approximation
     degenerates to the exact problem anyway.
     """
-    items = [int(x) for x in items if x <= t]
     t = int(t)
+    items = [x for x in _check_ints(items, "item") if x <= t]
     if (t + 1) * (len(items) + 1) > _EXACT_BITS_BUDGET:
         raise MemoryError(
             f"exact fallback needs {(t + 1) * (len(items) + 1)} DP bits; "

@@ -24,6 +24,7 @@ def test_parse_eps_forms():
     assert parse_eps("1/4") == Fraction(1, 4)
     assert parse_eps("2^-6") == Fraction(1, 64)
     assert parse_eps_sweep("2^-2..2^-4") == [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+    assert parse_eps_sweep("2^-4..2^-2") == parse_eps_sweep("2^-2..2^-4")  # bounds in either order
     assert parse_eps_sweep("0.5,0.25") == [Fraction(1, 2), Fraction(1, 4)]
 
 
@@ -41,6 +42,9 @@ def test_gen_solve_roundtrip_json(tmp_path, capsys):
     assert code == 0
     inst = load_instance(path, "subsetsum")
     assert inst.n == 8
+    # without --out the instance goes to stdout
+    code, out, err = run(capsys, "gen", "subsetsum", "--n", "8", "--max-item", "50", "--seed", "3")
+    assert code == 0 and out == path.read_text()
 
     code, out, err = run(capsys, "solve", "subsetsum", "--input", str(path),
                          "--eps", "1/4", "--seed", "7", "--json")
@@ -66,6 +70,11 @@ def test_solve_partition_and_verify(tmp_path, capsys):
                          "--eps", "0.25", "--json")
     assert code == 0
     assert json.loads(out)["mode"] in ("approx", "exact-fallback")
+    code, text, err = run(capsys, "solve", "partition", "--input", str(path), "--eps", "0.25")
+    assert code == 0
+    fields = dict(line.split(None, 1) for line in text.splitlines())
+    assert list(fields) == ["value", "witness", "epsilon", "delta", "mode", "elapsed_ms"]
+    assert fields["value"] == str(json.loads(out)["value"])
 
     code, out, err = run(capsys, "verify", "partition", "--input", str(path),
                          "--eps", "0.25")
@@ -95,6 +104,9 @@ def test_solve_knapsack_both_routes(tmp_path, capsys):
                          "--via", "gap", "--json")
     assert code == 0
     assert json.loads(out)["solvable"] is False
+    code, out, err = run(capsys, "solve", "knapsack", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[:3] == ["solvable   False", "opt        4", "via        dp"]
 
     solvable = tmp_path / "k2.txt"
     solvable.write_text("2 5 7\n2 3\n3 4\n")
@@ -141,6 +153,10 @@ def test_bench_small_sweep_csv(tmp_path, capsys):
     assert lines[0] == "problem,eps,L,seed,elapsed_ms,value"
     assert len(lines) == 4
     assert "fitted exponent" in err
+    code, out, err = run(capsys, "bench", "partition", "--n-sweep", "50,100", "--eps", "1/8")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == 3 and all(r.startswith("partition,0.125,") for r in rows[1:])
 
 
 def test_bench_n_sweep_near_linear(capsys):
@@ -195,6 +211,11 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 5\n0\n")
     assert main(["solve", "subsetsum", "--input", str(bad), "--eps", "1/4"]) == 1
+    # brute-force verification refuses more than VERIFY_MAX_ITEMS items
+    big = tmp_path / "big.txt"
+    run(capsys, "gen", "subsetsum", "--n", str(cli.VERIFY_MAX_ITEMS + 1), "--out", str(big))
+    code, out, err = run(capsys, "verify", "subsetsum", "--input", str(big))
+    assert code == 1 and f"capped at {cli.VERIFY_MAX_ITEMS} items" in err
 
 
 def test_memory_budgets_exit_1(tmp_path, capsys):

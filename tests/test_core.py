@@ -18,6 +18,15 @@ from sparsesum.core import (
     subset_sums_bruteforce,
     write_instance,
 )
+from sparsesum.hardness import gap_subset_sum
+from sparsesum.partition import bottom_half, greedy_partition_split, weak_round
+from sparsesum.subsetsum import (
+    SchemeParams,
+    color_coding,
+    exact_subset_sum,
+    greedy_small,
+    recursive_splitting,
+)
 from sparsesum.testkit import naive_sumset
 
 
@@ -109,6 +118,18 @@ def test_subsetsum_instance_rejects_non_integers():
     inst = SubsetSumInstance(items=(np.int64(1), np.int32(2)), target=np.uint8(3))
     assert inst.items == (1, 2) and inst.target == 3
     assert all(type(x) is int for x in (*inst.items, inst.target))
+    # the SubsetSum layers and the gap decision reject what they used to truncate
+    p = SchemeParams.for_instance(2, 100, 10)
+    for call in (
+        lambda: greedy_small([1.5, 2.5], 10, 3),
+        lambda: exact_subset_sum([1.5, 2.5], 3),
+        lambda: color_coding([50.7, 60.2], 100, 10, p.k, p),
+        lambda: recursive_splitting([50.7, 3.2], 100, 10, p),
+        lambda: gap_subset_sum([1.9, 2.9], 4, 0.5),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    assert greedy_small(np.array([1, 2]), 10, 3)[1].prefix_sums == [0, 1, 3]
 
 
 def test_partition_instance_rejects_non_integers():
@@ -117,6 +138,17 @@ def test_partition_instance_rejects_non_integers():
     with pytest.raises(ValidationError):
         PartitionInstance(items=(2, 2.0))
     assert PartitionInstance(items=np.array([2, 3])).items == (2, 3)
+    # the Partition steps reject what they used to truncate
+    for call in (
+        lambda: greedy_partition_split([1.5, 2.5, 3.9], 2),
+        lambda: bottom_half([1.5, 2.7], 1),
+        lambda: weak_round([1.5, 2.7, 9.9], 1),
+        lambda: weak_round(np.array([1.5, 2.7]), 1),
+        lambda: weak_round([1, 2], 1.5),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    assert weak_round(np.array([3, 9], dtype=np.uint8), 2).tolist() == [1, 4]
 
 
 def test_knapsack_instance_rejects_non_integers():
@@ -188,6 +220,10 @@ def test_sparseset_rejects_non_integer_dtype():
         SparseSet(np.array([True]), delta=1, cap=10)
     assert SparseSet(np.array([1, 2], dtype=np.uint32), delta=1, cap=10).elems.dtype == np.int64
     assert len(SparseSet([], delta=1, cap=10)) == 0
+    with pytest.raises(ValidationError):
+        is_delta_sparse([0.5, 1.5, 2.5], 1)
+    elems = np.array([0, 1, 5])
+    assert is_delta_sparse(elems, 1) and elems.flags.writeable  # the caller's array stays writable
 
 
 def test_approx_result_checks_witness_sum():

@@ -160,6 +160,28 @@ def test_solve_via_gap_wide_reduction_uses_bellman():
     assert solve_knapsack_via_gap(inst) is bellman_knapsack(inst)[1] is True
 
 
+def test_solve_via_gap_folds_zero_weight_items():
+    # the zero-weight item of value 5 is always taken, so the goals 12 and
+    # 17 become 7 and 12 over the other five items, decided by the gap route
+    weights, values = (0, 1, 2, 3, 1, 2), (5, 4, 7, 1, 2, 3)
+    for goal, want in ((12, True), (17, False)):
+        inst = KnapsackInstance(weights=weights, values=values, budget=3, goal=goal)
+        assert bellman_knapsack(inst) == (16, want)
+        calls = []
+
+        def spy(X, t, e):
+            calls.append(t)
+            return gap_subset_sum(X, t, e)
+
+        assert solve_knapsack_via_gap(inst, spy) is want and calls
+    # zero-weight items that reach the goal on their own decide it
+    inst = KnapsackInstance(weights=(0, 0, 1), values=(6, -3, 4), budget=1, goal=6)
+    assert solve_knapsack_via_gap(inst, gap_solver=None) is True
+    # the reduction itself still refuses zero weights with a typed error
+    with pytest.raises(ValueError, match="positive weights"):
+        knapsack_to_gap_instance(KnapsackInstance(weights=(0, 1), values=(5, 4), budget=3, goal=6))
+
+
 def test_solve_via_gap_agreement_sweep():
     rng = np.random.default_rng(88)
     disagreements = 0

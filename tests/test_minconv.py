@@ -1,5 +1,5 @@
-"""Tropical convolution engines vs the double-loop oracle, sentinel
-wrapping, and the multi-instance packing construction."""
+"""Tropical convolution engines vs the double-loop oracle, the ExtSeq
+storage contract, and the multi-instance packing construction."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from sparsesum.minconv import (
     max_conv,
     min_conv,
     min_conv_dense,
-    sentinel_unwrap,
-    sentinel_wrap,
 )
 from sparsesum.testkit import minconv_oracle
 
@@ -139,26 +137,6 @@ def test_extseq_array_storage_boundaries():
     s = ExtSeq([4, B, 2**62, -3])
     assert s[-1] == s.entries[-1] == -3
     assert s[1:3] == s.entries[1:3] == (B, 2**62)
-
-
-def test_sentinel_wrap_examples():
-    assert sentinel_wrap(seq(1, B), 100) == [1, 100]
-    assert sentinel_unwrap([3, 180], 100) == (3, B)
-    with pytest.raises(ValueError):
-        sentinel_wrap(seq(30), 100)  # 30 > M/4
-    with pytest.raises(ValueError):
-        sentinel_unwrap([60], 100)  # in the unclassifiable gap
-
-
-def test_sentinel_roundtrip_through_plain_engine():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        M = 10_000
-        A = random_extseq(rng, max_len=10, max_val=M // 4)
-        Bv = random_extseq(rng, max_len=10, max_val=M // 4)
-        wa, wb = sentinel_wrap(A, M), sentinel_wrap(Bv, M)
-        raw = min_conv(ExtSeq(wa), ExtSeq(wb)).entries  # plain engine, no UNDEFINED
-        assert sentinel_unwrap(raw, M) == min_conv(A, Bv)
 
 
 def test_batch_examples():
