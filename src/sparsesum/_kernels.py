@@ -12,7 +12,8 @@ undefined positions; any accumulated minimum that still exceeds DEFINED_MAX
 after the sweep had no defined pair (defined sums are bounded by
 2*VAL_LIMIT = DEFINED_MAX, sums touching a sentinel are at least
 SENT - VAL_LIMIT > DEFINED_MAX). The sparsification sweep only
-subtracts non-negative values and takes any int64.
+subtracts non-negative values and takes any int64; the jump chain keeps
+the same elements of many sets at once, in vectorized passes.
 """
 
 from __future__ import annotations
@@ -65,3 +66,36 @@ def sparsify_sweep(vals, delta):
         if len(out) >= 3 and out[-1] - out[-3] <= delta:
             del out[-2]
     return np.asarray(out, dtype=np.int64)
+
+
+def sparsify_chain(vals, seg, delta):
+    """Mask of the elements that sparsify_sweep keeps, for every segment
+    at once: vals holds one strictly increasing run of non-negative
+    values per run of equal ids in seg. The sweep keeps a segment's first
+    element and jumps from a kept element i to
+    max(i+1, last j of the segment with vals[j] - vals[i] <= delta), up
+    to the segment's last element. The jumps are found by one vectorized
+    binary search, and the chains are marked by pointer doubling, in
+    about log2(segment length) passes each."""
+    n = vals.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.bool_)
+    starts = np.flatnonzero(np.append(True, seg[1:] != seg[:-1]))
+    ends = np.append(starts[1:], n) - 1
+    last = np.repeat(ends, ends - starts + 1)  # the last index of each element's segment
+    here = np.arange(n)
+    # vals[lo] is within delta of vals[here]; the last such index is <= hi
+    lo, hi = here, last
+    while (lo < hi).any():
+        mid = (lo + hi + 1) >> 1
+        ok = vals[mid] - vals <= delta
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid - 1)
+    jump = np.minimum(np.maximum(lo, here + 1), last)
+    keep = np.zeros(n, dtype=np.bool_)
+    keep[starts] = True
+    # after k passes keep holds each chain's first 2^k elements, and jump
+    # leads 2^k links ahead
+    while not keep[ends].all():
+        keep[jump[keep]] = True
+        jump = jump[jump]
+    return keep

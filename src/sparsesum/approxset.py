@@ -28,6 +28,14 @@ engine and any other callable engine get the full grid, scattered from
 the same per-element entries (the scaling benchmark measures the dense
 engine's grid cost); above the int64 kernel range the engine, not the
 unfold, switches to exact Python ints.
+
+capped_sumsets runs many capped sumsets at once, as the color-coding
+fold needs one per round at every step. With the default engine the
+operand pairs are the segments of one pairs sumset keyed by (segment,
+position), and one jump-chain sparsification (_kernels.sparsify_chain)
+replaces a sweep per pair; _BATCH_PAIRS bounds the pairs one batch
+materializes. The result is element for element that of one
+capped_sumset per pair.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._kernels import sparsify_sweep
+from ._kernels import sparsify_chain, sparsify_sweep
 from .core import INFINITY, INT63_MAX, SparseSet, _as_int64_array
 from .minconv import ConvEngine, ExtSeq, max_conv, min_conv
 
@@ -130,7 +138,7 @@ def sparsify(B, t: int | float, delta: int) -> SparseSet:
     returned SparseSet rejects a negative element, an element above t and
     a negative delta with ValidationError (a ValueError)."""
     delta = int(delta)
-    return SparseSet(sparsify_sweep(_elems_array(B), delta), delta=delta, cap=t)
+    return SparseSet._trusted(sparsify_sweep(_elems_array(B), delta), delta, t)
 
 
 def shift_down(A: SparseSet, t_new: int) -> SparseSet:
@@ -140,7 +148,7 @@ def shift_down(A: SparseSet, t_new: int) -> SparseSet:
     if A.cap is not INFINITY and t_new > A.cap:
         raise ValueError(f"shift_down target {t_new} above current cap {A.cap}")
     cut = int(np.searchsorted(A.elems, t_new, side="right"))
-    return SparseSet(A.elems[:cut], delta=A.delta, cap=t_new)
+    return SparseSet._trusted(A.elems[:cut], A.delta, t_new)
 
 
 def merge_union(A1: SparseSet, A2: SparseSet, t: int | float, delta: int) -> SparseSet:
@@ -189,27 +197,43 @@ def descend(node, target: int, at_leaf: Callable[[Any, int], list]) -> list:
     return descend(node.left, a, at_leaf) + descend(node.right, target - a, at_leaf)
 
 
-def _interval_entries(elems: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The defined entries of a sparse set's unfold as (positions,
-    values), without the grid. The unfold holds a minimum and a maximum
-    per closed interval [i*delta/2, (i+1)*delta/2]: element a lies in
-    interval i = floor(2a/delta), and also in i-1 when 2a == i*delta;
-    interval i puts its minimum at position 2i and its maximum at 2i+1.
-    With a = q*delta + r, i = 2q + [2r >= delta] and 2a == i*delta iff
-    r == 0 or 2r == delta; neither test forms 2a or 2r, which can
-    overflow int64. elems must be non-empty."""
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Mask of the indices where a run of equal rows of the columns
+    starts: 0 and every index at which some column changes."""
+    new = np.zeros(cols[0].size, dtype=np.bool_)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
+def _interval_entries(elems: np.ndarray, delta: int, base=0) -> tuple[np.ndarray, np.ndarray]:
+    """The defined entries of a sparse set's unfold as (keys, values),
+    without the grid, with key = base + position; base (a number, or
+    one per element) offsets the sets of a segmented call, and elems
+    must be sorted within each set. The unfold holds a minimum and a
+    maximum per closed interval [i*delta/2, (i+1)*delta/2]: element a
+    lies in interval i = floor(2a/delta), and also in i-1 when
+    2a == i*delta; interval i puts its minimum at position 2i and its
+    maximum at 2i+1. With a = q*delta + r, i = 2q + [2r >= delta] and
+    2a == i*delta iff r == 0 or 2r == delta; neither test forms 2a or
+    2r, which can overflow int64. Such an edge element is emitted as the
+    maximum of i-1 right before the minimum of i, which keeps the
+    entries sorted by key without a sort. elems must be non-empty."""
     q, r = np.divmod(elems, delta)
-    idx = 2 * q + (r >= delta - r)
-    edge = ((r == 0) | (r == delta - r)) & (idx > 0)
-    ids = np.concatenate([idx, idx[edge] - 1])
-    vals = np.concatenate([elems, elems[edge]])
-    order = np.lexsort((vals, ids))
-    ids, vals = ids[order], vals[order]
-    change = ids[1:] != ids[:-1]
-    first = np.concatenate([[True], change])
-    last = np.concatenate([change, [True]])
-    pos = np.concatenate([2 * ids[first], 2 * ids[last] + 1])
-    return pos, np.concatenate([vals[first], vals[last]])
+    low = base + 4 * q + 2 * (r >= delta - r)  # the key of the element's interval minimum
+    edge = ((r == 0) | (r == delta - r)) & (low > base)
+    if edge.any():
+        copies = edge + 1
+        low = np.repeat(low, copies)
+        low[np.cumsum(copies)[edge] - 2] -= 2
+        elems = np.repeat(elems, copies)
+    # the first element of an interval gives its minimum, the last its maximum
+    first = _run_starts(low)
+    ends = first + np.append(first[1:], True).astype(np.int64)
+    keys = np.repeat(low, ends)
+    keys[1::2] += 1
+    return keys, np.repeat(elems, ends)
 
 
 def _grid(elems: np.ndarray, n_intervals: int, delta: int) -> ExtSeq:
@@ -231,37 +255,96 @@ _MAX_CELLS = 2**59
 _UNDEFINED_LO = np.iinfo(np.uint64).max
 
 
-def _pairs_sumset(e1: np.ndarray, e2: np.ndarray, t: int, delta: int) -> np.ndarray:
-    """Elements of the default engine's unfold + (min,+)/(max,+) sumset,
-    computed over the defined pairs only: the minimum and the maximum of
-    the pair sums at each output position. The sums are uint64: elements
-    of sets in [0, t] with t < 2^63 add up to less than 2^64 - 1."""
+def _distinct(seg: np.ndarray, val: np.ndarray, n_seg: int, width: int):
+    """The distinct pairs (seg, val), sorted, as (segments, values), for
+    0 <= seg < n_seg and 0 <= val < width: one np.unique of
+    seg*width + val while that key fits in int64, a lexsort otherwise."""
+    if n_seg * width <= INT63_MAX + 1:
+        return np.divmod(np.unique(seg * width + val), width)
+    order = np.lexsort((val, seg))
+    seg, val = seg[order], val[order]
+    new = _run_starts(seg, val)
+    return seg[new], val[new]
+
+
+def _pairs_sumset(
+    e1: np.ndarray, e2: np.ndarray, t: int, delta: int, cap: int = INT63_MAX,
+    s1: np.ndarray | None = None, s2: np.ndarray | None = None, n_seg: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The default engine's unfold + (min,+)/(max,+) sumset of the sets
+    e1 and e2 of every segment, computed over each segment's defined
+    pairs only: the minimum and the maximum of the pair sums at each
+    (segment, output position). s1 and s2 are the non-decreasing segment
+    ids (below n_seg) of the elements, None for one segment. Returns
+    (segments, elements) of the sums up to cap, sorted by segment and
+    then by element. The sums are uint64 until the cut: elements of sets
+    in [0, t] with t < 2^63 add up to less than 2^64 - 1. A pair's
+    segment and position form one int64 key, so n_seg may be at most
+    2^63 / (16*ceil(t/delta) - 1)."""
     if e1.size == 0 or e2.size == 0:
-        return np.empty(0, dtype=np.uint64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     n_cells = (t + delta - 1) // delta
     if n_cells > _MAX_CELLS:
         raise OverflowError(
             f"t/delta = {t}/{delta} is too large: the sumset positions must fit in int64"
         )
-    p1, v1 = _interval_entries(e1, delta)
-    p2, v2 = _interval_entries(e2, delta)
-    pos = np.add.outer(p1, p2).ravel()
-    val = np.add.outer(v1.astype(np.uint64), v2.astype(np.uint64)).ravel()
-    nc = 16 * n_cells - 1  # exceeds every pair position; also the scatter/sort cutoff
-    if pos.size >= nc:
-        lo = np.full(nc, _UNDEFINED_LO, dtype=np.uint64)
-        hi = np.zeros(nc, dtype=np.uint64)
-        np.minimum.at(lo, pos, val)
-        np.maximum.at(hi, pos, val)
-        defined = lo != _UNDEFINED_LO
-        lo, hi = lo[defined], hi[defined]
+    width = 16 * n_cells - 1  # exceeds every pair position; also the scatter/sort cutoff
+    if n_seg * width > INT63_MAX + 1:
+        raise ValueError(f"{n_seg} segments of {width} positions overflow an int64 key")
+    k1, v1 = _interval_entries(e1, delta, 0 if s1 is None else s1 * width)
+    k2, v2 = _interval_entries(e2, delta, 0 if s2 is None else s2 * width)
+    v1, v2 = v1.astype(np.uint64), v2.astype(np.uint64)
+    if n_seg == 1:
+        key = np.add.outer(k1, k2).ravel()
+        val = np.add.outer(v1, v2).ravel()
     else:
-        order = np.argsort(pos)
-        pos, val = pos[order], val[order]
-        starts = np.flatnonzero(np.concatenate([[True], pos[1:] != pos[:-1]]))
+        # entry i of e1 pairs with the c2[g1[i]] entries of e2 in its
+        # segment g1[i]; their keys add e1's segment offset once
+        g1 = k1 // width
+        c2 = np.bincount(k2 // width, minlength=n_seg)
+        reps = c2[g1]
+        j = np.arange(int(reps.sum()))
+        j -= np.repeat(np.cumsum(reps) - reps - (np.cumsum(c2) - c2)[g1], reps)
+        key = np.repeat(k1, reps)
+        key += (k2 % width)[j]
+        val = np.repeat(v1, reps)
+        val += v2[j]
+        del j
+    # temporaries are dropped as soon as they are used: they are the
+    # call's memory, some tens of bytes per pair
+    if key.size >= n_seg * width:
+        lo = np.full(int(key.max()) + 1, _UNDEFINED_LO, dtype=np.uint64)
+        hi = np.zeros(lo.size, dtype=np.uint64)
+        np.minimum.at(lo, key, val)
+        np.maximum.at(hi, key, val)
+        cells = np.flatnonzero(lo != _UNDEFINED_LO)
+        lo, hi = lo[cells], hi[cells]
+    else:
+        order = np.argsort(key)
+        key = key[order]
+        val = val[order]
+        del order
+        starts = np.flatnonzero(_run_starts(key))
+        cells = key[starts]
         lo = np.minimum.reduceat(val, starts)
         hi = np.maximum.reduceat(val, starts)
-    return np.unique(np.concatenate([lo, hi]))
+    del key, val
+    val = np.concatenate([lo, hi])
+    del lo, hi
+    keep = val <= np.uint64(cap)
+    val = val[keep].view(np.int64)
+    if n_seg == 1:
+        val = np.unique(val)
+        return np.zeros(val.size, dtype=np.int64), val
+    return _distinct((np.concatenate([cells, cells]) // width)[keep], val, n_seg, cap + 1)
+
+
+def _is_pairs_engine(engine) -> bool:
+    return isinstance(engine, ConvEngine) and not engine.dense
+
+
+def _is_zero(A: SparseSet) -> bool:
+    return len(A) == 1 and A.max() == 0
 
 
 def _check_sumset_args(A1: SparseSet, A2: SparseSet, t: int, delta: int) -> None:
@@ -289,17 +372,16 @@ def unbounded_sumset(
     engine = engine or min_conv
     t, delta = int(t), int(delta)
     _check_sumset_args(A1, A2, t, delta)
-    if isinstance(engine, ConvEngine) and not engine.dense:
-        sums = _pairs_sumset(A1.elems, A2.elems, t, delta)
-        elems = sums[: int(np.searchsorted(sums, INT63_MAX, side="right"))].astype(np.int64)
-    else:
-        # every element is at most t, so its interval is at most 2*ceil(t/delta)
-        n_intervals = 2 * ((t + delta - 1) // delta) + 1
-        X1 = _grid(A1.elems, n_intervals, delta)
-        X2 = _grid(A2.elems, n_intervals, delta)
-        lo_v, lo_d = engine(X1, X2).to_arrays()
-        hi_v, hi_d = max_conv(X1, X2, engine).to_arrays()
-        elems = np.unique(np.concatenate([lo_v[lo_d], hi_v[hi_d]]))
+    if _is_pairs_engine(engine):
+        _, elems = _pairs_sumset(A1.elems, A2.elems, t, delta)
+        return SparseSet._trusted(elems, delta, INFINITY)
+    # every element is at most t, so its interval is at most 2*ceil(t/delta)
+    n_intervals = 2 * ((t + delta - 1) // delta) + 1
+    X1 = _grid(A1.elems, n_intervals, delta)
+    X2 = _grid(A2.elems, n_intervals, delta)
+    lo_v, lo_d = engine(X1, X2).to_arrays()
+    hi_v, hi_d = max_conv(X1, X2, engine).to_arrays()
+    elems = np.unique(np.concatenate([lo_v[lo_d], hi_v[hi_d]]))
     return SparseSet(elems, delta=delta, cap=INFINITY)
 
 
@@ -315,8 +397,61 @@ def capped_sumset(
     t, delta = int(t), int(delta)
     _check_sumset_args(A1, A2, t, delta)
     for A, other in ((A1, A2), (A2, A1)):
-        if len(A) == 1 and A.max() == 0:
+        if _is_zero(A):
             return sparsify(other.elems, t, delta)
     unbounded = unbounded_sumset(A1, A2, t, delta, engine=engine)
     capped = shift_down(unbounded, t)
     return sparsify(capped.elems, t, delta)
+
+
+# The most (segment, position) pairs one batched call of capped_sumsets
+# materializes, counted as 4*|A1|*|A2| per operand pair (an element
+# gives at most two unfold entries). The call's temporaries take some
+# tens of bytes per pair; an operand pair above the budget runs alone.
+_BATCH_PAIRS = 2**14
+
+
+def capped_sumsets(A1s: list, A2s: list, t: int, delta: int, engine=None) -> list[SparseSet]:
+    """[capped_sumset(A1, A2, t, delta, engine) for A1, A2 in zip(A1s, A2s)],
+    element for element. With the default engine, the operand pairs
+    without a {0} operand are the segments of batched pairs sumsets, in
+    batches of at most _BATCH_PAIRS pairs (and few enough segments that
+    a pair's segment and position fit one int64 key); each batch is cut
+    at t and sparsified by one sparsify_chain. Any other engine, and a
+    {0} operand, get one capped_sumset call per operand pair."""
+    engine = engine or min_conv
+    t, delta = int(t), int(delta)
+    most = (INT63_MAX + 1) // max(1, 16 * ((t + delta - 1) // delta) - 1)
+    out: list = [None] * len(A1s)
+    chunk, pairs = [], 0
+    for r, (A1, A2) in enumerate(zip(A1s, A2s)):
+        _check_sumset_args(A1, A2, t, delta)
+        if not _is_pairs_engine(engine) or _is_zero(A1) or _is_zero(A2):
+            out[r] = capped_sumset(A1, A2, t, delta, engine=engine)
+            continue
+        cost = 4 * len(A1) * len(A2)
+        if chunk and (pairs + cost > _BATCH_PAIRS or len(chunk) >= most):
+            _capped_sumset_batch(chunk, A1s, A2s, t, delta, out)
+            chunk, pairs = [], 0
+        chunk.append(r)
+        pairs += cost
+    if chunk:
+        _capped_sumset_batch(chunk, A1s, A2s, t, delta, out)
+    return out
+
+
+def _capped_sumset_batch(chunk: list, A1s: list, A2s: list, t: int, delta: int, out: list) -> None:
+    """out[r] = the default engine's capped_sumset(A1s[r], A2s[r]) for
+    every r in chunk, as one segmented pairs sumset and one chain."""
+    e1 = [A1s[r].elems for r in chunk]
+    e2 = [A2s[r].elems for r in chunk]
+    ids = np.arange(len(chunk))
+    seg, sums = _pairs_sumset(
+        np.concatenate(e1), np.concatenate(e2), t, delta, t,
+        np.repeat(ids, [e.size for e in e1]), np.repeat(ids, [e.size for e in e2]), len(chunk),
+    )
+    keep = sparsify_chain(sums, seg, delta)
+    seg, sums = seg[keep], sums[keep]
+    bounds = np.searchsorted(seg, np.arange(len(chunk) + 1))
+    for r, a, b in zip(chunk, bounds[:-1], bounds[1:]):
+        out[r] = SparseSet._trusted(sums[a:b], delta, t)

@@ -151,6 +151,8 @@ def _as_int64_array(elems) -> np.ndarray:
     arr = np.asarray(elems)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValidationError(f"elements must be 63-bit integers, got dtype {arr.dtype}")
+    if arr.size and arr.dtype.kind == "u" and arr.max() > INT63_MAX:
+        raise ValidationError(f"element {arr.max()} does not fit in 63 bits")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
@@ -173,23 +175,36 @@ class SparseSet:
 
     def __post_init__(self):
         arr = _as_int64_array(self.elems)
-        arr.flags.writeable = False
-        object.__setattr__(self, "elems", arr)
         if arr.ndim != 1:
             raise ValidationError("elems must be one-dimensional")
-        if arr.size and arr[0] < 0:
-            raise ValidationError("elements must be non-negative")
         if arr.size > 1 and not (np.diff(arr) > 0).all():
             raise ValidationError("elements must be strictly increasing")
-        if int(self.delta) < 0:
+        self._seal(arr, self.delta, self.cap)
+
+    @classmethod
+    def _trusted(cls, elems: np.ndarray, delta: int, cap: int | float) -> "SparseSet":
+        """Internal constructor for an int64 array that is already
+        one-dimensional and strictly increasing: the output of a
+        sparsification, of a pairs sumset, or a slice of a valid set.
+        It skips the checks that read every element; the bounds (first
+        element, last element against cap, delta) are still checked."""
+        s = object.__new__(cls)
+        s._seal(elems, delta, cap)
+        return s
+
+    def _seal(self, arr: np.ndarray, delta, cap) -> None:
+        arr.flags.writeable = False
+        object.__setattr__(self, "elems", arr)
+        if arr.size and arr[0] < 0:
+            raise ValidationError("elements must be non-negative")
+        if int(delta) < 0:
             raise ValidationError("delta must be >= 0")
-        object.__setattr__(self, "delta", int(self.delta))
-        if self.cap is not INFINITY:
-            object.__setattr__(self, "cap", int(self.cap))
-            if arr.size and int(arr[-1]) > self.cap:
-                raise ValidationError(
-                    f"max element {arr[-1]} exceeds cap {self.cap}"
-                )
+        object.__setattr__(self, "delta", int(delta))
+        if cap is not INFINITY:
+            cap = int(cap)
+            if arr.size and int(arr[-1]) > cap:
+                raise ValidationError(f"max element {arr[-1]} exceeds cap {cap}")
+        object.__setattr__(self, "cap", cap)
 
     def __len__(self) -> int:
         return int(self.elems.size)

@@ -3,7 +3,8 @@
 Structure: items at least t/k are "large" and handled by color coding
 (randomly scatter them into k^2 classes, fold the classes together with
 capped approximate sumsets, repeat for enough rounds that every sparse
-target sum gets split across classes in some round). Items below t/k
+target sum gets split across classes in some round; the rounds fold in
+lockstep, one batched call per fold step). Items below t/k
 are halved at random and solved recursively against a slightly enlarged
 target, and the pieces are recombined with capped sumsets. Once all
 items are at most delta, plain greedy prefix sums approximate the whole
@@ -36,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .approxset import SumNode, capped_sumset, descend, first_split, sparsify, zero_set
+from .approxset import SumNode, capped_sumset, capped_sumsets, descend, first_split, sparsify, zero_set
 from .core import InvariantError, SparseSet, SubsetSumInstance, _check_int, _check_ints, _epsilon, _finish
 from .minconv import min_conv
 
@@ -180,6 +181,13 @@ def color_coding(
     (t,delta)-approximates S(X;t). Classes that received no items are
     skipped: folding with {0} is the identity (elementwise), so the
     result is bit-identical to folding all k^2 classes.
+
+    The rounds run in lockstep: every round's classes are drawn first,
+    and fold step j of all rounds that have one is a single
+    capped_sumsets call. This is exact because the rounds are
+    independent: each draws from its own Philox key, and step j of a
+    round reads only that round's accumulated set and class. Batching
+    reschedules the rounds' work; it changes no set in the trace.
     """
     engine = engine or min_conv
     X = _check_ints(X, "item")
@@ -195,22 +203,33 @@ def color_coding(
         z = zero_set(delta, t)
         return z, ColorCodingTrace(rounds=[], result=z)
 
+    if t < delta:
+        raise ValueError(f"need t >= delta, got t={t}, delta={delta}")
     n_rounds = max(1, params.confidence * clog2(max(1, ceil_div(len(X) * t, delta))))
-    zero = zero_set(delta, t)
-    rounds: list[RoundTrace] = []
+    zsets: list[list[SparseSet]] = []
     for r in range(n_rounds):
         rng = _rng_for(params, path + (1, r))
         class_ids = rng.integers(0, k * k, size=len(X)).tolist()
         groups: dict[int, list] = {}
         for x, cid in zip(X, class_ids):
             groups.setdefault(cid, []).append(x)
-        acc = zero
-        steps: list[FoldStep] = []
-        for cid in sorted(groups):
-            z = sparsify(np.asarray(sorted({0, *groups[cid]}), dtype=np.int64), t, delta)
-            acc = capped_sumset(acc, z, t, delta, engine=engine)
-            steps.append(FoldStep(zset=z, acc=acc))
-        rounds.append(RoundTrace(steps=steps, final=acc))
+        zsets.append([
+            sparsify(np.asarray(sorted({0, *groups[cid]}), dtype=np.int64), t, delta)
+            for cid in sorted(groups)
+        ])
+    # the first class folds into {0}, which capped_sumset answers with the
+    # class re-sparsified; every later step j runs for all rounds at once
+    accs = [sparsify(zs[0].elems, t, delta) for zs in zsets]
+    steps = [[FoldStep(zset=zs[0], acc=acc)] for zs, acc in zip(zsets, accs)]
+    for j in range(1, max(len(zs) for zs in zsets)):
+        live = [r for r, zs in enumerate(zsets) if len(zs) > j]
+        folded = capped_sumsets(
+            [accs[r] for r in live], [zsets[r][j] for r in live], t, delta, engine=engine
+        )
+        for r, acc in zip(live, folded):
+            accs[r] = acc
+            steps[r].append(FoldStep(zset=zsets[r][j], acc=acc))
+    rounds = [RoundTrace(steps=st, final=acc) for st, acc in zip(steps, accs)]
 
     union = np.unique(np.concatenate([rt.final.elems for rt in rounds]))
     result = sparsify(union, t, delta)

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from sparsesum import approxset
+from sparsesum._kernels import sparsify_chain, sparsify_sweep
 from sparsesum.approxset import (
     SumNode,
     _grid,
     _interval_entries,
     apx_bounds,
     capped_sumset,
+    capped_sumsets,
     descend,
     is_approximation,
     merge_union,
@@ -395,3 +398,70 @@ def test_descend_takes_smallest_left_split_and_rejects_corrupt_nodes():
     corrupt = SumNode(sset({0, 4}, 0, INFINITY), left, leaf(3))
     with pytest.raises(ValueError):
         descend(corrupt, 4, at_leaf)
+
+
+def test_sparsify_chain_matches_sweep_per_segment():
+    # the jump chain keeps, segment by segment, what the sweep keeps
+    rng = np.random.default_rng(31)
+    top = 2**63 - 1
+    for trial in range(1500):
+        delta = int(rng.choice([0, 1, 2, 7, 40, 2**40, top]))
+        parts = []
+        for _ in range(int(rng.integers(1, 8))):
+            size = int(rng.choice([1, 2, int(rng.integers(1, 60))]))
+            if trial % 4 == 3:
+                # near 2^63 - 1, where v + delta would overflow int64
+                vals = top - rng.integers(0, 4 * size + 100, size=size)
+            else:
+                vals = rng.integers(0, 300, size=size)
+            parts.append(np.unique(vals))
+        if trial % 3 == 0:
+            parts.append(parts[0].copy())  # equal values in another segment
+        vals = np.concatenate(parts)
+        seg = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+        keep = sparsify_chain(vals, seg, delta)
+        want = np.concatenate([sparsify_sweep(p, delta) for p in parts])
+        assert np.array_equal(vals[keep], want), f"trial {trial}"
+    empty = np.empty(0, dtype=np.int64)
+    assert sparsify_chain(empty, empty, 3).size == 0
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_capped_sumsets_equal_capped_sumset_per_pair(monkeypatch, budget):
+    # one batched call gives what one capped_sumset per pair gives; a
+    # budget of 1 runs every pair as its own batch
+    if budget is not None:
+        monkeypatch.setattr(approxset, "_BATCH_PAIRS", budget)
+    rng = np.random.default_rng(32)
+    for trial in range(150):
+        if trial % 3 == 2:
+            # wide targets: the (segment, value) keys leave int64, and
+            # at t/delta = 2^56 a batch holds at most 8 segments so that
+            # the (segment, position) keys stay in int64
+            t = int(rng.integers(2**59 + 1, 2**63 - 1))
+            delta = t // int(rng.choice([3, 12, 2**20, 2**56]))
+        else:
+            t = int(rng.integers(2, 3000))
+            delta = int(rng.integers(1, t // 2 + 2))
+        pairs = []
+        for _ in range(int(rng.integers(1, 12))):
+            two = []
+            for _ in range(2):
+                u = rng.random()
+                if u < 0.1:
+                    two.append(sset({0}, delta, t))
+                elif u < 0.15:
+                    two.append(sset(set(), delta, t))
+                else:
+                    elems = {int(x) for x in rng.integers(0, t, size=int(rng.integers(1, 40)), endpoint=True)}
+                    two.append(sparsify(sorted(elems), t, delta))
+            pairs.append(two)
+        A1s, A2s = [p[0] for p in pairs], [p[1] for p in pairs]
+        want = [capped_sumset(a1, a2, t, delta) for a1, a2 in pairs]
+        assert capped_sumsets(A1s, A2s, t, delta) == want, f"trial {trial}"
+        if t < 3000 and trial % 5 == 0:
+            dense = [capped_sumset(a1, a2, t, delta, engine=min_conv_dense) for a1, a2 in pairs]
+            assert capped_sumsets(A1s, A2s, t, delta, engine=min_conv_dense) == dense
+    assert capped_sumsets([], [], 10, 2) == []
+    with pytest.raises(ValueError):
+        capped_sumsets([sset({0, 1}, 2, 10)], [sset({0, 1}, 2, 10)], 1, 2)  # t < delta

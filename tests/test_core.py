@@ -224,6 +224,13 @@ def test_sparseset_rejects_non_integer_dtype():
         is_delta_sparse([0.5, 1.5, 2.5], 1)
     elems = np.array([0, 1, 5])
     assert is_delta_sparse(elems, 1) and elems.flags.writeable  # the caller's array stays writable
+    # unsigned values of 2^63 and above do not fit in 63 bits
+    with pytest.raises(ValidationError, match="63 bits"):
+        is_delta_sparse(np.array([0, 2**63, 2**63 + 1], dtype=np.uint64), 1)
+    with pytest.raises(ValidationError, match="63 bits"):
+        SparseSet(np.array([1, 2**63], dtype=np.uint64), delta=1, cap=INFINITY)
+    with pytest.raises(ValidationError, match="63 bits"):
+        SparseSet([2**63], delta=1, cap=INFINITY)
 
 
 def test_approx_result_checks_witness_sum():

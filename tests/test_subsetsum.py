@@ -6,12 +6,14 @@ import pytest
 from collections import Counter
 from fractions import Fraction
 
-from sparsesum.approxset import SumNode, is_approximation, zero_set
+from sparsesum import approxset
+from sparsesum.approxset import SumNode, capped_sumset, is_approximation, sparsify, zero_set
 from sparsesum.core import InvariantError, SubsetSumInstance, ValidationError, subset_sums_bruteforce
 from sparsesum.subsetsum import (
     FoldStep,
     SchemeParams,
     SolveTrace,
+    _rng_for,
     approximate_subset_sum,
     ceil_div,
     clog2,
@@ -103,6 +105,55 @@ def test_color_coding_randomized_completeness():
         if not is_approximation(res, sums, t, delta):
             fails += 1
     assert fails <= 2, f"{fails}/200 rounds missed the approximation bound"
+
+
+def _reference_fold(X, t, delta, k, params, path=()):
+    # color_coding's rounds folded one capped_sumset at a time, round
+    # after round: [([(zset, acc) per step], final) per round]
+    n_rounds = max(1, params.confidence * clog2(max(1, ceil_div(len(X) * t, delta))))
+    rounds = []
+    for r in range(n_rounds):
+        class_ids = _rng_for(params, path + (1, r)).integers(0, k * k, size=len(X)).tolist()
+        groups = {}
+        for x, cid in zip(X, class_ids):
+            groups.setdefault(cid, []).append(x)
+        acc, steps = zero_set(delta, t), []
+        for cid in sorted(groups):
+            z = sparsify(np.asarray(sorted({0, *groups[cid]}), dtype=np.int64), t, delta)
+            acc = capped_sumset(acc, z, t, delta)
+            steps.append((z, acc))
+        rounds.append((steps, acc))
+    return rounds
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_color_coding_lockstep_equals_round_by_round_fold(monkeypatch, budget):
+    # the rounds are independent, so folding them in lockstep (budget 1:
+    # one round per batched call) reproduces every zset, acc and final
+    if budget is not None:
+        monkeypatch.setattr(approxset, "_BATCH_PAIRS", budget)
+    rng = np.random.default_rng(17)
+    big_classes = 0
+    for trial in range(40):
+        if trial % 4 == 3:
+            t = int(rng.integers(2**59 + 1, 2**63 - 1))  # above the int64 kernel range
+            delta = t // int(rng.choice([16, 256, 2**20]))
+        else:
+            t = int(rng.integers(100, 10**6))
+            delta = max(1, t // int(rng.choice([8, 64, 512])))
+        k = int(rng.choice([1, 2, 3]))  # k^2 classes for up to 9 items: collisions
+        X = [int(x) for x in rng.integers(ceil_div(t, k), t, size=int(rng.integers(1, 10)), endpoint=True)]
+        p = params_for(len(X), t, delta, seed=trial, confidence=2)
+        res, tr = color_coding(X, t, delta, k, p, path=(trial,))
+        ref = _reference_fold(X, t, delta, k, p, path=(trial,))
+        assert len(tr.rounds) == len(ref)
+        for rt, (steps, final) in zip(tr.rounds, ref):
+            assert [(s.zset, s.acc) for s in rt.steps] == steps, f"trial {trial}"
+            assert rt.final == final, f"trial {trial}"
+            big_classes += any(len(z) >= 3 for z, _ in steps)
+        union = np.unique(np.concatenate([final.elems for _, final in ref]))
+        assert res == sparsify(union, t, delta)
+    assert big_classes > 0
 
 
 def test_recursive_splitting_base_case_matches_greedy():
